@@ -8,7 +8,7 @@ certificates, all over the integers and rationals.
 
 __version__ = "0.1.0"
 
-from .certify import CertificateReport, verify_table, verify_witness
+from .certify import CertificateReport, verify_witness
 from .cyclotomic import (
     CycloFactorization,
     NotCyclotomicProduct,
@@ -33,7 +33,6 @@ from .pairs import (
     canonical_representative,
     enumerate_qualified_pairs,
     initial_classification,
-    is_qualified,
     make_pair,
 )
 from .poly import IntPoly
@@ -77,13 +76,11 @@ __all__ = [
     "gcd_obstruction",
     "initial_classification",
     "invariant_symplectic_form",
-    "is_qualified",
     "make_pair",
     "parse_parameters",
     "reference_search",
     "search_witness",
     "transvection_vector",
-    "verify_table",
     "verify_witness",
     "__version__",
 ]

@@ -21,7 +21,7 @@ check plus the computed objects, and the verdict is their conjunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,21 +33,13 @@ from .hgroup import (
     is_transvection,
     transvection_vector,
 )
-from .linalg import (
-    Matrix,
-    Vector,
-    linearly_independent,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    solve_unimodular,
-)
+from .linalg import Vector, linearly_independent, mat_mul, mat_vec
 from .pairs import QualifiedPair
 from .words import Word, evaluate_word
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
-_CHECK_ORDER = (
+CHECK_ORDER = (
     "last_entry",
     "independence",
     "omega_v_prefix_zero",
@@ -216,7 +208,7 @@ def _verify(
     w3 = mat_vec(gamma, v)
     c = w3[n - 1]
 
-    checks: dict[str, Optional[bool]] = {name: None for name in _CHECK_ORDER}
+    checks: dict[str, Optional[bool]] = {name: None for name in CHECK_ORDER}
     checks["last_entry"] = c in (1, -1, 2, -2)
     checks["independence"] = linearly_independent((w1, w2, w3))
 
@@ -245,11 +237,12 @@ def _verify(
             tuple(form.pairing(wj, wi) for wj in (w1, w2, w3))
             for wi in (w1, w2, w3)
         ]
-        radical_coords = nullspace(gram, 3)
-        radical_dim = len(radical_coords)
+        # An alternating 3x3 Gram matrix has rank 0 or 2; when it is nonzero
+        # its radical is spanned by (G12, -G02, G01).
+        coeffs = (gram[1][2], -gram[0][2], gram[0][1])
+        radical_dim = 1 if any(coeffs) else 3
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:
-            coeffs = radical_coords[0]
             e_raw = tuple(
                 coeffs[0] * w1[i] + coeffs[1] * w2[i] + coeffs[2] * w3[i]
                 for i in range(n)
@@ -304,9 +297,9 @@ def _verify(
                     )
                     checks["u_unipotent"] = square == ((0, 0), (0, 0))
 
-    verdict = all(checks[name] for name in _CHECK_ORDER)
+    verdict = all(checks[name] for name in CHECK_ORDER)
     first_failure = next(
-        (name for name in _CHECK_ORDER if checks[name] is not True), None
+        (name for name in CHECK_ORDER if checks[name] is not True), None
     ) if not verdict else None
 
     return CertificateReport(
@@ -339,31 +332,4 @@ def _verify(
         u_unipotent_ok=checks["u_unipotent"],
         verdict=verdict,
         first_failure=first_failure,
-    )
-
-
-@dataclass(frozen=True)
-class TableSummary:
-    total: int
-    passed: int
-    failed: int
-    failures: tuple[tuple[str, str], ...]  # (label, first failing check)
-    reports: tuple[tuple[str, CertificateReport], ...] = field(repr=False, default=())
-
-
-def verify_table(entries: Sequence[tuple[str, QualifiedPair, Word]]) -> TableSummary:
-    """Run the full certificate on labelled (pair, word) fixtures."""
-    reports = []
-    failures = []
-    for label, pair, word in entries:
-        report = verify_witness(pair, word)
-        reports.append((label, report))
-        if not report.verdict:
-            failures.append((label, report.first_failure or "unknown"))
-    return TableSummary(
-        total=len(reports),
-        passed=sum(1 for _, r in reports if r.verdict),
-        failed=len(failures),
-        failures=tuple(failures),
-        reports=tuple(reports),
     )

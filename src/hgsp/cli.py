@@ -26,7 +26,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import __version__
 from .cache import CacheRecord, ResultCache, default_cache_path, record_for
-from .certify import _CHECK_ORDER, CertificateReport, verify_witness
+from .certify import CHECK_ORDER, CertificateReport, verify_witness
 from .cyclotomic import (
     CycloFactorization,
     NotCyclotomicProduct,
@@ -54,7 +54,6 @@ from .poly import parse_coefficients
 from .report import build_report
 from .search import (
     FOUND,
-    NOT_FOUND,
     OBSTRUCTED,
     NodeBudgetExceeded,
     SearchConfig,
@@ -77,6 +76,16 @@ CSV_COLUMNS = (
 
 class DomainError(Exception):
     """Input parsed fine but names something outside the domain."""
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
@@ -294,7 +303,7 @@ def _print_certificate(report: CertificateReport) -> None:
     print(f"word: {report.word}")
     print(f"c (last entry of gamma(v)): {report.c}")
     print(f"omega(v, e_n): {report.omega_v_en}")
-    for name in _CHECK_ORDER:
+    for name in CHECK_ORDER:
         flag = getattr(report, name + "_ok")
         if flag is None:
             mark = " -- "
@@ -359,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="search for a witness word")
     _add_pair_arguments(p_search)
-    p_search.add_argument("--max-depth", type=int, default=9)
-    p_search.add_argument("--threads", type=int, default=1)
-    p_search.add_argument("--pivot-depth", type=int, default=4)
+    p_search.add_argument("--max-depth", type=_positive_int, default=9)
+    p_search.add_argument("--threads", type=_positive_int, default=1)
+    p_search.add_argument("--pivot-depth", type=_positive_int, default=4)
     p_search.add_argument("--node-budget", type=int, default=None)
     p_search.add_argument(
         "--all-at-min-depth",

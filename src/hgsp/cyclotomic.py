@@ -149,15 +149,6 @@ def shifted_index(m: int) -> int:
     return m
 
 
-def scalar_shift_poly(p: IntPoly) -> IntPoly:
-    """p(-x) for a monic polynomial of even degree (so the result stays monic)."""
-    if not p.is_monic():
-        raise ValueError("scalar shift expects a monic polynomial")
-    if p.degree % 2 != 0:
-        raise ValueError("scalar shift expects even degree")
-    return p.negate_variable()
-
-
 def exponent_gcd(p: IntPoly) -> int:
     """gcd of the exponents carrying nonzero coefficients (0 for constants)."""
     g = 0
@@ -165,15 +156,6 @@ def exponent_gcd(p: IntPoly) -> int:
         if c:
             g = math.gcd(g, e)
     return g
-
-
-def is_power_substitution(p: IntPoly, k: int) -> bool:
-    """True when p(x) = q(x^k) for some polynomial q."""
-    if k < 1:
-        raise ValueError("power must be positive")
-    if p.is_zero():
-        return True
-    return all(c == 0 for e, c in enumerate(p.coeffs) if e % k)
 
 
 def factorization_from_poly(p: IntPoly) -> CycloFactorization:
@@ -243,7 +225,3 @@ def parse_parameters(text: str) -> tuple[Fraction, ...]:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad parameter {t!r}") from None
     return tuple(sorted(out))
-
-
-def format_parameters(params: Sequence[Fraction]) -> str:
-    return ",".join(str(r) for r in params)

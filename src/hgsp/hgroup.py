@@ -4,39 +4,35 @@ The group is generated by the companion matrices A of f and B of g.  The
 element A^-1 B is a transvection; its direction vector v = (A^-1 B - I) e_n
 has i-th entry equal to the coefficient of x^i in f - g.  The full group
 preserves a unique (up to scale) nondegenerate alternating bilinear form,
-recovered here as the kernel of an explicit linear system over ZZ.
+recovered here from one Krylov solve: since A^-1 B - I = v e_n^T, every
+invariant alternating form Omega has (A^k v)^T Omega = mu e_n^T A^-k, so
+K^T Omega = mu R with K = [v, Av, ..., A^(n-1) v].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .linalg import (
     Matrix,
     Vector,
+    companion_inverse,
     companion_matrix,
     determinant,
     identity_matrix,
-    kernel_basis,
     mat_mul,
     mat_sub,
     mat_vec,
     rank,
-    unimodular_inverse,
+    solve_scaled,
+    transpose,
 )
 from .pairs import QualifiedPair
 
 
 class InvariantFormError(ValueError):
     pass
-
-
-class InvariantSpaceDimensionError(InvariantFormError):
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        super().__init__(
-            f"space of invariant alternating forms has dimension {dimension}, expected 1"
-        )
 
 
 class DegenerateFormError(InvariantFormError):
@@ -73,22 +69,19 @@ class SymplecticForm:
 
 
 def build_generators(pair: QualifiedPair) -> GeneratorPair:
-    a = companion_matrix(pair.f)
-    b = companion_matrix(pair.g)
     return GeneratorPair(
-        a=a,
-        b=b,
-        a_inv=unimodular_inverse(a),
-        b_inv=unimodular_inverse(b),
+        a=companion_matrix(pair.f),
+        b=companion_matrix(pair.g),
+        a_inv=companion_inverse(pair.f),
+        b_inv=companion_inverse(pair.g),
         degree=pair.degree,
     )
 
 
 def transvection_vector(gen: GeneratorPair) -> Vector:
     """v = (A^-1 B - I) e_n, the direction of the transvection A^-1 B."""
-    n = gen.degree
-    c = mat_mul(gen.a_inv, gen.b)
-    return tuple(c[i][n - 1] - (1 if i == n - 1 else 0) for i in range(n))
+    c_en = mat_vec(gen.a_inv, tuple(row[-1] for row in gen.b))
+    return c_en[:-1] + (c_en[-1] - 1,)
 
 
 def is_transvection(c: Matrix) -> bool:
@@ -104,83 +97,48 @@ def is_transvection(c: Matrix) -> bool:
 # -- invariant form -----------------------------------------------------------
 
 
-def invariance_rows(m: Matrix) -> list[tuple[int, ...]]:
-    """Rows of the linear system M^T X M - X = 0 in the n^2 entries of X."""
-    n = len(m)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                mki = m[k][i]
-                if not mki:
-                    continue
-                for l in range(n):
-                    if m[l][j]:
-                        row[k * n + l] += mki * m[l][j]
-            row[i * n + j] -= 1
-            if any(row):
-                rows.append(tuple(row))
-    return rows
-
-
-def antisymmetry_rows(n: int) -> list[tuple[int, ...]]:
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [0] * (n * n)
-            row[i * n + j] += 1
-            row[j * n + i] += 1
-            rows.append(tuple(row))
-    return rows
-
-
-def symmetry_rows(n: int) -> list[tuple[int, ...]]:
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [0] * (n * n)
-            row[i * n + j] += 1
-            row[j * n + i] -= 1
-            rows.append(tuple(row))
-    return rows
-
-
-def invariant_alternating_space(gen: GeneratorPair) -> list[Matrix]:
-    n = gen.degree
-    # The sparse antisymmetry rows go first; they clear half the unknowns
-    # cheaply before the dense invariance rows enter the elimination.
-    rows = antisymmetry_rows(n) + invariance_rows(gen.a) + invariance_rows(gen.b)
-    return kernel_basis(rows, (n, n))
-
-
-def symmetric_invariant_dimension(gen: GeneratorPair) -> int:
-    """Dimension of invariant symmetric forms (0 exactly when the symmetric
-    space attached to the pair carries no invariant quadratic form)."""
-    n = gen.degree
-    rows = symmetry_rows(n) + invariance_rows(gen.a) + invariance_rows(gen.b)
-    return len(kernel_basis(rows, (n, n)))
-
-
 def invariant_symplectic_form(
     gen: GeneratorPair, v: Vector | None = None
 ) -> SymplecticForm:
     """The invariant alternating form, made unique by normalization.
 
-    The kernel computation already returns a primitive integer matrix; the
-    sign is then fixed so that Omega(v, e_n) > 0.  Raises when the space of
-    invariant alternating forms does not have dimension 1 or the form is
-    degenerate.
+    With u the transvection vector of gen, solve K^T Omega = R for
+    K = [u, Au, ..., A^(n-1) u] and R the rows e_n^T A^-k, k = 0 .. n-1.
+    When K is nonsingular (u is cyclic for A) every invariant alternating
+    form is a multiple of this one, and the checks below (antisymmetry,
+    invariance under A and B, nonzero determinant) show that it is one.
+    The result is divided by its content and its sign fixed so that
+    Omega(v, e_n) > 0, with v defaulting to u.  Raises InvariantFormError
+    when K is singular or a check fails, DegenerateFormError when the form
+    or its pairing of v with e_n is degenerate.
     """
-    basis = invariant_alternating_space(gen)
-    if len(basis) != 1:
-        raise InvariantSpaceDimensionError(len(basis))
-    omega = basis[0]
+    n = gen.degree
+    if any(ra[:-1] != rb[:-1] for ra, rb in zip(gen.a, gen.b)):
+        raise InvariantFormError("A^-1 B does not fix e_1 .. e_(n-1)")
+    u = transvection_vector(gen)
+    krylov = [u]
+    rows = [tuple(1 if i == n - 1 else 0 for i in range(n))]
+    a_inv_t = transpose(gen.a_inv)
+    for _ in range(n - 1):
+        krylov.append(mat_vec(gen.a, krylov[-1]))
+        rows.append(mat_vec(a_inv_t, rows[-1]))
+    det, cols = solve_scaled(krylov, rows)
+    if det == 0:
+        raise InvariantFormError("transvection vector is not cyclic for A")
+    content = 0
+    for col in cols:
+        for x in col:
+            content = gcd(content, x)
+    omega = tuple(tuple(x // content for x in row) for row in zip(*cols))
+    if omega != tuple(tuple(-x for x in col) for col in zip(*omega)):
+        raise InvariantFormError("Krylov solution is not alternating")
+    for m in (gen.a, gen.b):
+        if mat_mul(mat_mul(transpose(m), omega), m) != omega:
+            raise InvariantFormError("Krylov solution is not invariant")
     if determinant(omega) == 0:
         raise DegenerateFormError()
     if v is None:
-        v = transvection_vector(gen)
-    n = gen.degree
+        v = u
     v_en = sum(v[i] * omega[i][n - 1] for i in range(n))
     if v_en == 0:
         raise DegenerateFormError()

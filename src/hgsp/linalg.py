@@ -1,15 +1,15 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers.
 
 Matrices are tuples of row tuples and vectors are plain tuples, so every
-value is hashable and safe to share across worker processes.  Rank, kernel
-and determinant computations run Bareiss fraction-free elimination on
-integer rows; only the final back substitution touches Fractions.
+value is hashable and safe to share across worker processes.  Rank,
+determinant and solving all run one routine, Bareiss fraction-free
+elimination on integer rows; solving finishes with an exact integer back
+substitution, so no rational number is ever formed.  Companion matrices
+and their inverses are written down in closed form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .poly import IntPoly
@@ -59,11 +59,7 @@ def companion_matrix(p: IntPoly) -> Matrix:
 
     For x^2 - 3x + 1 this is ((0, -1), (1, 3)).
     """
-    if not p.is_monic():
-        raise ValueError("companion matrix requires a monic polynomial")
-    n = p.degree
-    if n < 1:
-        raise ValueError("companion matrix requires degree >= 1")
+    n = _companion_degree(p)
     return tuple(
         tuple(
             -p.coeffs[i] if j == n - 1 else (1 if i == j + 1 else 0)
@@ -71,6 +67,14 @@ def companion_matrix(p: IntPoly) -> Matrix:
         )
         for i in range(n)
     )
+
+
+def _companion_degree(p: IntPoly) -> int:
+    if not p.is_monic():
+        raise ValueError("companion matrix requires a monic polynomial")
+    if p.degree < 1:
+        raise ValueError("companion matrix requires degree >= 1")
+    return p.degree
 
 
 # -- fraction-free elimination ----------------------------------------------
@@ -153,106 +157,73 @@ def determinant(a: Matrix) -> int:
     return -d if swaps % 2 else d
 
 
-def _primitive_int_vector(x: Sequence[Fraction]) -> Vector:
-    """Scale a rational vector to primitive integers, first nonzero entry positive."""
-    denom = 1
-    for r in x:
-        denom = denom * r.denominator // gcd(denom, r.denominator)
-    ints = [int(r * denom) for r in x]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    if content == 0:
-        raise ValueError("zero vector has no primitive form")
-    ints = [c // content for c in ints]
-    first = next(c for c in ints if c)
-    if first < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+# -- solving -------------------------------------------------------------------
 
 
-def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """Primitive integer basis of the solution space of a homogeneous system.
+def solve_scaled(a: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[Vector]]:
+    """Solve a x = y for every column y of rhs without leaving the integers.
 
-    One basis vector per free column, ordered by free column index, each
-    normalized to content 1 with positive first nonzero entry.
+    Returns (det a, xs) where each x in xs is det(a) times the solution, an
+    integer vector by Cramer's rule; for singular a it returns (0, []).  One
+    Bareiss pass triangularizes [a | rhs]; the back substitution then solves
+    U x = det(a) y', where every division is exact because its quotient is an
+    entry of the integer vector x.
     """
-    ech, pivot_cols, _ = _bareiss_echelon([tuple(r) for r in rows], ncols)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[i]
-            s = Fraction(0)
-            row = ech[i]
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            if s:
-                x[pc] = -s / row[pc]
-        basis.append(_primitive_int_vector(x))
-    return basis
-
-
-def kernel_basis(
-    constraints: Sequence[Sequence[int]], shape: tuple[int, int]
-) -> list[Matrix]:
-    """Basis of the space of r x c integer matrices killed by linear constraints.
-
-    Each constraint is a flat row of r*c coefficients against the row-major
-    matrix entries.  With no constraints this is the full matrix space.
-    """
-    nrows, ncols = shape
-    size = nrows * ncols
-    for row in constraints:
-        if len(row) != size:
-            raise ValueError(f"constraint length {len(row)} does not match shape {shape}")
-    flat = nullspace(constraints, size)
-    return [
-        tuple(tuple(vec[i * ncols + j] for j in range(ncols)) for i in range(nrows))
-        for vec in flat
-    ]
-
-
-# -- rational solving --------------------------------------------------------
-
-
-def _solve_rational(a: Matrix, b: Vector) -> tuple[Fraction, ...]:
-    """Solve a nonsingular square integer system exactly."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for c in range(n):
-        sel = next((i for i in range(c, n) if aug[i][c]), None)
-        if sel is None:
-            raise ValueError("singular system")
-        aug[c], aug[sel] = aug[sel], aug[c]
-        piv = aug[c][c]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c] / piv
-                for j in range(c, n + 1):
-                    aug[i][j] -= f * aug[c][j]
-    return tuple(aug[i][n] / aug[i][i] for i in range(n))
+    width = n + len(rhs[0])
+    ech, pivots, swaps = _bareiss_echelon(
+        [tuple(row) + tuple(y) for row, y in zip(a, rhs)], width
+    )
+    if pivots[:n] != list(range(n)):
+        return 0, []
+    det = -ech[n - 1][n - 1] if swaps % 2 else ech[n - 1][n - 1]
+    xs = []
+    for k in range(n, width):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = ech[i]
+            s = det * row[k]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j]
+            x[i] = s // row[i]
+        xs.append(tuple(x))
+    return det, xs
 
 
 def solve_unimodular(a: Matrix, b: Vector) -> Vector:
-    """Integer solution of a x = b for unimodular a."""
-    x = _solve_rational(a, b)
-    if any(r.denominator != 1 for r in x):
-        raise NonUnimodularError(determinant(a))
-    return tuple(int(r) for r in x)
+    """Integer solution of a x = b; raises NonUnimodularError when it is not integral."""
+    det, xs = solve_scaled(a, [(y,) for y in b])
+    if det == 0:
+        raise ValueError("singular system")
+    if any(x % det for x in xs[0]):
+        raise NonUnimodularError(det)
+    return tuple(x // det for x in xs[0])
 
 
 def unimodular_inverse(a: Matrix) -> Matrix:
     """Exact inverse of an integer matrix with determinant +-1."""
-    d = determinant(a)
-    if d not in (1, -1):
-        raise NonUnimodularError(d)
-    n = len(a)
-    cols = [solve_unimodular(a, tuple(1 if i == j else 0 for i in range(n)))
-            for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    det, cols = solve_scaled(a, identity_matrix(len(a)))
+    if det not in (1, -1):
+        raise NonUnimodularError(det)
+    return tuple(tuple(det * x for x in row) for row in zip(*cols))
+
+
+def companion_inverse(p: IntPoly) -> Matrix:
+    """Inverse of companion_matrix(p), written down directly.
+
+    The companion matrix sends e_j to e_(j+1) for j < n, so its inverse has
+    ones on the superdiagonal; solving for the preimage of e_1 gives the
+    first column -(c_1, ..., c_(n-1), 1) / c_0.  That is integral exactly
+    when c_0 = +-1, and NonUnimodularError is raised otherwise.
+
+    For x^2 - 3x + 1 this is ((3, 1), (-1, 0)).
+    """
+    n = _companion_degree(p)
+    c0 = p.constant_term
+    if c0 not in (1, -1):
+        raise NonUnimodularError(-c0 if n % 2 else c0)
+    first = tuple(-c0 * c for c in p.coeffs[1:])
+    return tuple(
+        tuple(first[i] if j == 0 else (1 if j == i + 1 else 0) for j in range(n))
+        for i in range(n)
+    )

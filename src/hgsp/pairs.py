@@ -125,13 +125,6 @@ def qualification_failures(
     return reasons
 
 
-def is_qualified(
-    f_fac: CycloFactorization, g_fac: CycloFactorization
-) -> tuple[bool, list[str]]:
-    reasons = qualification_failures(f_fac, g_fac)
-    return (not reasons, reasons)
-
-
 def make_pair(f_fac: CycloFactorization, g_fac: CycloFactorization) -> QualifiedPair:
     reasons = qualification_failures(f_fac, g_fac)
     if reasons:

@@ -1,17 +1,14 @@
 """Dense integer polynomials with exact arithmetic.
 
 Coefficients are stored ascending from the constant term, so x^2 - 3x + 1
-is ``IntPoly((1, -3, 1))``.  Everything stays in ZZ (or QQ during
-evaluation); there is no floating point anywhere in this package.
+is ``IntPoly((1, -3, 1))``.  Everything stays in ZZ; there is no floating
+point anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 
 @dataclass(frozen=True, init=False)
@@ -110,12 +107,6 @@ class IntPoly:
             result = result * self
         return result
 
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __divmod__(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Long division, only for divisors with leading coefficient +-1.
 
@@ -145,21 +136,6 @@ class IntPoly:
         if not r.is_zero():
             raise ValueError(f"inexact division, remainder {r}")
         return q
-
-    def divides(self, other: "IntPoly") -> bool:
-        return divmod(other, self)[1].is_zero()
-
-    # -- transforms --------------------------------------------------------
-
-    def negate_variable(self) -> "IntPoly":
-        """The polynomial p(-x)."""
-        return IntPoly(tuple(-c if k % 2 else c for k, c in enumerate(self.coeffs)))
-
-    def reversed_coefficients(self) -> "IntPoly":
-        """The reciprocal x^deg * p(1/x) (requires nonzero constant term)."""
-        if self.constant_term == 0:
-            raise ValueError("reciprocal requires a nonzero constant term")
-        return IntPoly(tuple(reversed(self.coeffs)))
 
     # -- text --------------------------------------------------------------
 
@@ -196,7 +172,3 @@ def parse_coefficients(text: str) -> IntPoly:
         return IntPoly(tuple(int(t) for t in items))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad coefficient list {text!r}: {exc}") from None
-
-
-def format_coefficients(p: IntPoly) -> str:
-    return ",".join(str(c) for c in p.coeffs)

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .hgroup import GeneratorPair, build_generators, transvection_vector
+from .hgroup import build_generators, transvection_vector
 from .linalg import (
     Matrix,
     NonUnimodularError,
@@ -122,15 +122,6 @@ def gcd_obstruction(v: Vector) -> Optional[int]:
     for x in v:
         g = math.gcd(g, x)
     return g if g > 2 else None
-
-
-def candidate_check(m: Matrix, v: Vector) -> bool:
-    """The two-part witness test for a single explicit matrix."""
-    mv = mat_vec(m, v)
-    if mv[len(v) - 1] not in _GOOD_LAST:
-        return False
-    miv = solve_unimodular(m, v)
-    return linearly_independent((v, mv, miv))
 
 
 # -- engine internals ---------------------------------------------------------

@@ -86,9 +86,6 @@ class Word:
         return cls(letters)
 
 
-EMPTY_WORD = Word(())
-
-
 def _format_run(code: int, run_len: int) -> str:
     base = BASE_LETTER[code]
     if code >= 2:

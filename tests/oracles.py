@@ -1,0 +1,163 @@
+"""Plain kernel computations, kept as independent oracles for the tests.
+
+The library computes the invariant form from one Krylov solve
+(``hgsp.hgroup.invariant_symplectic_form``).  The code here gets the same
+objects the slow, generic way: it writes the invariance conditions
+M^T X M = X as linear rows in the n^2 entries of X and takes the kernel by
+Bareiss elimination and rational back substitution.  It also yields the
+dimensions of the invariant alternating and symmetric spaces, which the
+Krylov solve does not compute.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
+
+from hgsp.hgroup import GeneratorPair, transvection_vector
+from hgsp.linalg import Matrix, Vector, _bareiss_echelon
+
+
+# -- kernels -------------------------------------------------------------------
+
+
+def _primitive_int_vector(x: Sequence[Fraction]) -> Vector:
+    """Scale a rational vector to primitive integers, first nonzero entry positive."""
+    denom = 1
+    for r in x:
+        denom = denom * r.denominator // gcd(denom, r.denominator)
+    ints = [int(r * denom) for r in x]
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+    if content == 0:
+        raise ValueError("zero vector has no primitive form")
+    ints = [c // content for c in ints]
+    first = next(c for c in ints if c)
+    if first < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
+    """Primitive integer basis of the solution space of a homogeneous system.
+
+    One basis vector per free column, ordered by free column index, each
+    normalized to content 1 with positive first nonzero entry.
+    """
+    ech, pivot_cols, _ = _bareiss_echelon([tuple(r) for r in rows], ncols)
+    pivot_set = set(pivot_cols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for i in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[i]
+            s = Fraction(0)
+            row = ech[i]
+            for j in range(pc + 1, ncols):
+                if row[j] and x[j]:
+                    s += row[j] * x[j]
+            if s:
+                x[pc] = -s / row[pc]
+        basis.append(_primitive_int_vector(x))
+    return basis
+
+
+def kernel_basis(
+    constraints: Sequence[Sequence[int]], shape: tuple[int, int]
+) -> list[Matrix]:
+    """Basis of the space of r x c integer matrices killed by linear constraints.
+
+    Each constraint is a flat row of r*c coefficients against the row-major
+    matrix entries.  With no constraints this is the full matrix space.
+    """
+    nrows, ncols = shape
+    size = nrows * ncols
+    for row in constraints:
+        if len(row) != size:
+            raise ValueError(f"constraint length {len(row)} does not match shape {shape}")
+    flat = nullspace(constraints, size)
+    return [
+        tuple(tuple(vec[i * ncols + j] for j in range(ncols)) for i in range(nrows))
+        for vec in flat
+    ]
+
+
+# -- invariant forms -----------------------------------------------------------
+
+
+def invariance_rows(m: Matrix) -> list[tuple[int, ...]]:
+    """Rows of the linear system M^T X M - X = 0 in the n^2 entries of X."""
+    n = len(m)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                mki = m[k][i]
+                if not mki:
+                    continue
+                for l in range(n):
+                    if m[l][j]:
+                        row[k * n + l] += mki * m[l][j]
+            row[i * n + j] -= 1
+            if any(row):
+                rows.append(tuple(row))
+    return rows
+
+
+def antisymmetry_rows(n: int) -> list[tuple[int, ...]]:
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [0] * (n * n)
+            row[i * n + j] += 1
+            row[j * n + i] += 1
+            rows.append(tuple(row))
+    return rows
+
+
+def symmetry_rows(n: int) -> list[tuple[int, ...]]:
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [0] * (n * n)
+            row[i * n + j] += 1
+            row[j * n + i] -= 1
+            rows.append(tuple(row))
+    return rows
+
+
+def invariant_alternating_space(gen: GeneratorPair) -> list[Matrix]:
+    n = gen.degree
+    # The sparse antisymmetry rows go first; they clear half the unknowns
+    # cheaply before the dense invariance rows enter the elimination.
+    rows = antisymmetry_rows(n) + invariance_rows(gen.a) + invariance_rows(gen.b)
+    return kernel_basis(rows, (n, n))
+
+
+def symmetric_invariant_dimension(gen: GeneratorPair) -> int:
+    """Dimension of invariant symmetric forms (0 exactly when the symmetric
+    space attached to the pair carries no invariant quadratic form)."""
+    n = gen.degree
+    rows = symmetry_rows(n) + invariance_rows(gen.a) + invariance_rows(gen.b)
+    return len(kernel_basis(rows, (n, n)))
+
+
+def kernel_symplectic_form(gen: GeneratorPair, v: Vector | None = None) -> Matrix:
+    """The invariant alternating form from the kernel: primitive, Omega(v, e_n) > 0."""
+    basis = invariant_alternating_space(gen)
+    assert len(basis) == 1, f"alternating space has dimension {len(basis)}"
+    omega = basis[0]
+    if v is None:
+        v = transvection_vector(gen)
+    n = gen.degree
+    v_en = sum(v[i] * omega[i][n - 1] for i in range(n))
+    assert v_en != 0
+    if v_en < 0:
+        omega = tuple(tuple(-x for x in row) for row in omega)
+    return omega

@@ -155,6 +155,15 @@ def test_search_obstructed(capsys):
     assert blob["gcd"] == 4
 
 
+@pytest.mark.parametrize("flag", ["--threads", "--max-depth", "--pivot-depth"])
+def test_search_rejects_zero_counts(capsys, flag):
+    # argparse rejects the value before any search or process starts
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--f", "1^6", "--g", "3,6^2", "--no-cache", flag, "0"])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_search_budget_exhaustion_exits_one(capsys):
     rc, _, err = run(
         capsys, "search", "--f", "1^6", "--g", "2^4,3",

@@ -11,7 +11,6 @@ from hgsp.fixtures import (
     TABLE_B_COUNT,
     TABLE_C_COUNT,
     TABLE_D,
-    open_rows,
     witness_rows,
 )
 from hgsp.hgroup import build_generators, transvection_vector
@@ -72,7 +71,7 @@ def test_witnesses_only_on_unobstructed_rows():
 def test_open_rows_partition():
     # "open" here means no recorded witness; the obstructed rows are a
     # subset of them (settled negatively rather than left undecided).
-    open_numbers = {row.number for row in open_rows()}
+    open_numbers = {row.number for row in TABLE_A if not row.witness}
     witness_numbers = {row.number for row in witness_rows()}
     assert open_numbers & witness_numbers == set()
     assert open_numbers | witness_numbers == set(range(1, 41))

@@ -7,12 +7,10 @@ import pytest
 from hgsp.cyclotomic import CycloFactorization
 from hgsp.hgroup import (
     DegenerateFormError,
-    InvariantSpaceDimensionError,
+    InvariantFormError,
     build_generators,
-    invariant_alternating_space,
     invariant_symplectic_form,
     is_transvection,
-    symmetric_invariant_dimension,
     transvection_vector,
 )
 from hgsp.linalg import (
@@ -23,9 +21,13 @@ from hgsp.linalg import (
     mat_vec,
     rank,
     transpose,
-    unimodular_inverse,
 )
 from hgsp.pairs import enumerate_qualified_pairs, make_pair
+from oracles import (
+    invariant_alternating_space,
+    kernel_symplectic_form,
+    symmetric_invariant_dimension,
+)
 
 
 def pair_by_id(pair_id, mum=True):
@@ -183,9 +185,8 @@ def test_dimension_error_when_space_too_big():
 
     eye = identity_matrix(4)
     gen = GeneratorPair(a=eye, b=eye, a_inv=eye, b_inv=eye, degree=4)
-    with pytest.raises(InvariantSpaceDimensionError) as err:
+    with pytest.raises(InvariantFormError):
         invariant_symplectic_form(gen, (1, 0, 0, 0))
-    assert err.value.dimension == 6
 
 
 def test_degenerate_error_needs_matching_v():
@@ -195,3 +196,51 @@ def test_degenerate_error_needs_matching_v():
     e6 = (0, 0, 0, 0, 0, 1)
     with pytest.raises(DegenerateFormError):
         invariant_symplectic_form(gen, e6)
+
+
+def _assert_matches_kernel_oracle(pairs):
+    for pair in pairs:
+        gen = build_generators(pair)
+        v = transvection_vector(gen)
+        form = invariant_symplectic_form(gen, v)
+        assert form.omega == kernel_symplectic_form(gen, v), pair.pair_id
+
+
+def test_krylov_form_matches_kernel_oracle_degrees_4_and_6():
+    _assert_matches_kernel_oracle(enumerate_qualified_pairs(4))
+    _assert_matches_kernel_oracle(enumerate_qualified_pairs(6))
+
+
+def test_krylov_form_matches_kernel_oracle_degree_8_sample():
+    pairs = enumerate_qualified_pairs(8)
+    assert len(pairs) == 2983
+    _assert_matches_kernel_oracle(random.Random(80).sample(pairs, 40))
+
+
+def test_form_rejects_generators_without_transvection_shape():
+    """When A^-1 B moves some e_j with j < n the uniqueness argument does not
+    apply, and the guard trips before any solve."""
+    from hgsp.hgroup import GeneratorPair
+
+    gen = build_generators(pair_by_id("1^6|3^2,6"))
+    twisted = GeneratorPair(a=gen.a, b=transpose(gen.b), a_inv=gen.a_inv,
+                            b_inv=transpose(gen.b_inv), degree=6)
+    with pytest.raises(InvariantFormError):
+        invariant_symplectic_form(twisted)
+
+
+def test_form_requires_cyclic_transvection_vector():
+    """f and g sharing the factor (x - 1)^2 leave v non-cyclic for A, so
+    the Krylov matrix is singular."""
+    from hgsp.hgroup import GeneratorPair
+    from hgsp.linalg import companion_inverse, companion_matrix
+    from hgsp.poly import IntPoly
+
+    f = IntPoly((1, 0, -2, 0, 1))  # (x - 1)^2 (x + 1)^2
+    g = IntPoly((1, -2, 2, -2, 1))  # (x - 1)^2 (x^2 + 1)
+    gen = GeneratorPair(a=companion_matrix(f), b=companion_matrix(g),
+                        a_inv=companion_inverse(f), b_inv=companion_inverse(g),
+                        degree=4)
+    assert transvection_vector(gen) == (2, -4, 2, 0)
+    with pytest.raises(InvariantFormError, match="not cyclic"):
+        invariant_symplectic_form(gen)

@@ -9,24 +9,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgsp.linalg import (
     NonUnimodularError,
+    companion_inverse,
     companion_matrix,
     determinant,
     identity_matrix,
-    kernel_basis,
     linearly_independent,
     mat_mul,
     mat_sub,
     mat_vec,
-    nullspace,
     rank,
     solve_unimodular,
     transpose,
     unimodular_inverse,
 )
 from hgsp.poly import IntPoly
+from oracles import kernel_basis, nullspace
 
 
 # -- oracles -----------------------------------------------------------------
@@ -127,6 +129,22 @@ def rref_nullspace(rows, ncols):
     return basis
 
 
+def rational_solve(a, b):
+    """Gauss-Jordan over Fraction; None for a singular system."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for c in range(n):
+        sel = next((i for i in range(c, n) if aug[i][c]), None)
+        if sel is None:
+            return None
+        aug[c], aug[sel] = aug[sel], aug[c]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c] / aug[c][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return tuple(aug[i][n] / aug[i][i] for i in range(n))
+
+
 def random_matrix(rng, n, lo=-6, hi=6):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
 
@@ -152,6 +170,27 @@ def test_companion_mum_sextic():
 def test_companion_phi9():
     m = companion_matrix(IntPoly((1, 0, 0, 1, 0, 0, 1)))
     assert tuple(m[i][5] for i in range(6)) == (-1, 0, 0, -1, 0, 0)
+
+
+lower_coeffs = st.lists(st.integers(min_value=-20, max_value=20), min_size=0, max_size=9)
+
+
+@given(st.sampled_from((1, -1)), lower_coeffs)
+def test_companion_inverse_is_inverse(c0, rest):
+    p = IntPoly((c0, *rest, 1))
+    a = companion_matrix(p)
+    inv = companion_inverse(p)
+    n = p.degree
+    assert mat_mul(a, inv) == identity_matrix(n)
+    assert mat_mul(inv, a) == identity_matrix(n)
+
+
+@given(st.integers(min_value=-20, max_value=20).filter(lambda c: c not in (1, -1)), lower_coeffs)
+def test_companion_inverse_rejects_non_unit_constant(c0, rest):
+    p = IntPoly((c0, *rest, 1))
+    with pytest.raises(NonUnimodularError) as err:
+        companion_inverse(p)
+    assert err.value.determinant == determinant(companion_matrix(p))
 
 
 def test_companion_requires_monic():
@@ -286,6 +325,24 @@ def test_solve_unimodular_rejects_non_integral_solutions():
         solve_unimodular(((2, 0), (0, 1)), (1, 0))
     # an integral solution is returned even off the unimodular happy path
     assert solve_unimodular(((2, 0), (0, 1)), (2, 0)) == (1, 0)
+
+
+def test_solve_unimodular_against_rational_oracle():
+    """Integral solutions agree; a fractional one raises, a singular one too."""
+    rng = random.Random(606)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, -3, 3)
+        b = tuple(rng.randint(-6, 6) for _ in range(n))
+        expected = rational_solve(a, b)
+        if expected is None:
+            with pytest.raises(ValueError):
+                solve_unimodular(a, b)
+        elif all(x.denominator == 1 for x in expected):
+            assert solve_unimodular(a, b) == tuple(int(x) for x in expected)
+        else:
+            with pytest.raises(NonUnimodularError):
+                solve_unimodular(a, b)
 
 
 def test_unimodular_inverse():

@@ -12,7 +12,6 @@ from hgsp.search import (
     OBSTRUCTED,
     NodeBudgetExceeded,
     SearchConfig,
-    candidate_check,
     gcd_obstruction,
     reference_search,
     search_witness,
@@ -39,11 +38,11 @@ def test_candidate_check_row_17():
     pair = table_pair(17)
     gen = build_generators(pair)
     v = transvection_vector(gen)
-    m = evaluate_word(Word.parse("A^2BA^-1B^4A"), gen)
-    assert candidate_check(m, v)
+    report = verify_witness(pair, Word.parse("A^2BA^-1B^4A"))
+    assert report.last_entry_ok and report.independence_ok
     # B alone fails the last-entry test: Bv = (0,-7,13,-21,13,-7)
     assert mat_vec(gen.b, v) == (0, -7, 13, -21, 13, -7)
-    assert not candidate_check(gen.b, v)
+    assert not verify_witness(pair, Word.parse("B")).last_entry_ok
 
 
 def test_candidate_check_dependent_example():
@@ -56,7 +55,8 @@ def test_candidate_check_dependent_example():
     m = evaluate_word(Word.parse(ex.word), gen)
     # last entry of Mv is 2, yet the triple is dependent
     assert mat_vec(m, v)[-1] == 2
-    assert not candidate_check(m, v)
+    report = verify_witness(pair, Word.parse(ex.word))
+    assert report.last_entry_ok and not report.independence_ok
 
 
 def test_search_row_20_depth_3():
@@ -146,10 +146,9 @@ def test_all_at_min_depth_collects_every_witness():
     assert words[0] == "B^2A"
     assert "B^3" in words  # the tabulated witness is among them
     assert words == sorted(words, key=lambda s: tuple(Word.parse(s)))
-    gen = build_generators(pair)
-    v = transvection_vector(gen)
     for w in out.words_at_depth:
-        assert candidate_check(evaluate_word(w, gen), v)
+        report = verify_witness(pair, w)
+        assert report.last_entry_ok and report.independence_ok
 
 
 def test_found_results_pass_certificate():
@@ -169,9 +168,8 @@ def test_reference_search_agrees_on_existence():
         assert ref.found == (eng.status == FOUND), number
         if ref.found:
             # both words are genuine witnesses even if different
-            gen = build_generators(pair)
-            v = transvection_vector(gen)
-            assert candidate_check(evaluate_word(ref.word, gen), v)
+            report = verify_witness(pair, ref.word)
+            assert report.last_entry_ok and report.independence_ok
 
 
 def test_reference_search_counts_nodes():

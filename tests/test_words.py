@@ -12,7 +12,6 @@ from hgsp.words import (
     A_INV,
     B,
     B_INV,
-    EMPTY_WORD,
     NotReducedError,
     Word,
     WordSyntaxError,
@@ -81,8 +80,8 @@ def test_constructor_validates():
         Word((0, 4))
     with pytest.raises(NotReducedError):
         Word((0, 2))
-    assert len(EMPTY_WORD) == 0
-    assert str(EMPTY_WORD) == ""
+    assert len(Word(())) == 0
+    assert str(Word(())) == ""
 
 
 def test_inverse():
@@ -123,7 +122,7 @@ def test_inverse_is_involution(word):
 def test_evaluate_word_products():
     pair = enumerate_qualified_pairs(6, mum_only=True)[0]
     gen = build_generators(pair)
-    assert evaluate_word(EMPTY_WORD, gen) == identity_matrix(6)
+    assert evaluate_word(Word(()), gen) == identity_matrix(6)
     b3 = evaluate_word(Word.parse("B^3"), gen)
     assert b3 == mat_mul(mat_mul(gen.b, gen.b), gen.b)
     ab = evaluate_word(Word.parse("AB"), gen)
