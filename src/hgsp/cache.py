@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -47,18 +47,7 @@ class CacheRecord:
     tool_version: str
 
     def to_json(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "degree": self.degree,
-            "searched_depth": self.searched_depth,
-            "kind": self.kind,
-            "witness": self.witness,
-            "witness_length": self.witness_length,
-            "gcd": self.gcd,
-            "nodes": self.nodes,
-            "created_at": self.created_at,
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "CacheRecord":
@@ -127,6 +116,11 @@ class ResultCache:
     def store(self, record: CacheRecord) -> None:
         self._keep_better(record)
         self._flush()
+
+    def discard(self, pair_id: str) -> None:
+        """Drop the record for a pair, on disk too."""
+        if self._records.pop(pair_id, None) is not None:
+            self._flush()
 
     def _flush(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -251,6 +251,18 @@ def _record_to_output(record: CacheRecord, cached: bool) -> dict:
     return data
 
 
+def _certified(pair: QualifiedPair, record: CacheRecord) -> bool:
+    """Whether a cached record may be served: a witness must pass its
+    full certificate again."""
+    if record.kind != "arithmetic_witness":
+        return True
+    try:
+        word = Word.parse(record.witness or "")
+    except (WordSyntaxError, NotReducedError):
+        return False
+    return verify_witness(pair, word).verdict
+
+
 def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     pair = _resolve_pair(args, parser)
     cache: Optional[ResultCache] = None
@@ -260,12 +272,14 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if not args.force:
             hit = cache.lookup(pair.pair_id, args.max_depth)
             if hit is not None:
-                print(json.dumps(_record_to_output(hit, cached=True)))
-                return 0
+                if _certified(pair, hit):
+                    print(json.dumps(_record_to_output(hit, cached=True)))
+                    return 0
+                # a witness that fails its certificate must not outrank the rerun
+                cache.discard(pair.pair_id)
     cfg = SearchConfig(
         max_depth=args.max_depth,
         workers=args.threads,
-        pivot_depth=args.pivot_depth,
         node_budget=args.node_budget,
         all_at_min_depth=args.all_at_min_depth,
     )
@@ -370,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_arguments(p_search)
     p_search.add_argument("--max-depth", type=_positive_int, default=9)
     p_search.add_argument("--threads", type=_positive_int, default=1)
-    p_search.add_argument("--pivot-depth", type=_positive_int, default=4)
-    p_search.add_argument("--node-budget", type=int, default=None)
+    p_search.add_argument("--node-budget", type=_positive_int, default=None)
     p_search.add_argument(
         "--all-at-min-depth",
         action="store_true",

@@ -9,10 +9,14 @@ word and lexicographically least among those of that length, the per-depth
 node counts are the exact reduced-word counts 4 * 3^(d-1), and the result
 is identical no matter how many worker processes share the tree.
 
-Everything here is exact integer arithmetic.  The inner loop never builds
-a full matrix product: multiplying on the right by a companion matrix (or
-its inverse) only shifts columns and forms one new column, and the last
-entry of (M L) v is a single dot product against the precomputed L v.
+Everything here is exact integer arithmetic.  The last entry of gamma(v)
+is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
+is the only state the search carries.  A step r -> r L copies entry i of r
+where column j of L is e_i and takes one dot product over the nonzeros of
+every other column; a leaf's last entry is r . (L v) against the
+precomputed L v.  Only a word whose last entry passes is multiplied out in
+full, for the unimodular solve and the independence test.  With workers,
+each level deeper than 4 is split over the 108 reduced words of length 4.
 
 ``reference_search`` is a deliberately plain recursive first-hit searcher,
 kept slow and obvious, used to cross-check the engine.
@@ -21,14 +25,14 @@ kept slow and obvious, used to cross-check the engine.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .hgroup import build_generators, transvection_vector
+from .hgroup import GeneratorPair, build_generators, transvection_vector
 from .linalg import (
     Matrix,
-    NonUnimodularError,
     Vector,
     identity_matrix,
     linearly_independent,
@@ -38,12 +42,13 @@ from .linalg import (
     unimodular_inverse,
 )
 from .pairs import QualifiedPair
-from .words import LETTER_NAMES, Word, inverse_letter
+from .words import LETTER_NAMES, Word, evaluate_word, inverse_letter
 
 FOUND = "found"
 NOT_FOUND = "not_found"
 OBSTRUCTED = "obstructed"
 
+_PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
 _GOOD_LAST = (1, -1, 2, -2)
 _ALL_LETTERS = (0, 1, 2, 3)
 # Children of a node whose last letter is x: every letter except x's inverse,
@@ -57,7 +62,6 @@ _ALLOWED = tuple(
 class SearchConfig:
     max_depth: int = 9
     workers: int = 1
-    pivot_depth: int = 4
     node_budget: Optional[int] = None
     all_at_min_depth: bool = False
 
@@ -127,97 +131,77 @@ def gcd_obstruction(v: Vector) -> Optional[int]:
 # -- engine internals ---------------------------------------------------------
 
 
-def _column_plan(mat: Matrix):
-    """How to form M L column by column: either copy a column of M (when the
-    column of L is a standard basis vector) or combine columns of M."""
+def _row_plan(mat: Matrix):
+    """How to form r L entry by entry: copy r[i] where column j of L is e_i,
+    otherwise take the dot product with that column's nonzeros."""
     plan = []
     for col in zip(*mat):
         nz = tuple((i, c) for i, c in enumerate(col) if c)
-        if len(nz) == 1 and nz[0][1] == 1:
-            plan.append(nz[0][0])
-        else:
-            plan.append(nz)
+        plan.append(nz[0][0] if len(nz) == 1 and nz[0][1] == 1 else nz)
     return tuple(plan)
 
 
+def _gamma_data(gen: GeneratorPair, v: Vector, letters: tuple[int, ...]):
+    """gamma for the word, with gamma(v) and gamma^-1(v)."""
+    gamma = evaluate_word(Word(letters), gen)
+    return gamma, mat_vec(gamma, v), solve_unimodular(gamma, v)
+
+
 class _Engine:
-    """Shared state for one search: generator data in column-major form."""
+    """Shared state for one search: each letter's row plan and L v."""
 
-    def __init__(self, mats: tuple[Matrix, Matrix, Matrix, Matrix], v: Vector):
-        self.n = len(v)
+    def __init__(self, gen: GeneratorPair, v: Vector):
+        mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
+        self.gen = gen
         self.v = v
-        self.mats = mats
         self.lv = tuple(mat_vec(m, v) for m in mats)
-        self.plans = tuple(_column_plan(m) for m in mats)
-        self.identity_cols = tuple(
-            tuple(1 if r == j else 0 for r in range(self.n)) for j in range(self.n)
-        )
+        self.plans = tuple(_row_plan(m) for m in mats)
+        self.root = (0,) * (gen.degree - 1) + (1,)
 
-    def _right_mul(self, cols, letter: int):
-        n = self.n
-        out = []
-        for item in self.plans[letter]:
-            if isinstance(item, int):
-                out.append(cols[item])
-            else:
-                out.append(tuple(sum(c * cols[i][r] for i, c in item) for r in range(n)))
-        return tuple(out)
+    def _step(self, row, letter: int):
+        return tuple([
+            row[item] if type(item) is int else sum(c * row[i] for i, c in item)
+            for item in self.plans[letter]
+        ])
 
-    def _confirm(self, child_cols) -> bool:
-        m = tuple(zip(*child_cols))
-        mv = mat_vec(m, self.v)
-        try:
-            miv = solve_unimodular(m, self.v)
-        except NonUnimodularError:
-            return False
-        return linearly_independent((self.v, mv, miv))
-
-    def scan(self, cols, last: int, remaining: int, path: list[int],
+    def scan(self, row, last: int, remaining: int, path: list[int],
              hits: list[tuple[int, ...]], collect_all: bool) -> int:
-        """Test every reduced extension of `path` by exactly `remaining`
-        letters; append passing words to hits; return the number tested."""
+        """Test every reduced extension of `path` (whose last row is `row`)
+        by exactly `remaining` letters; append passing words to hits; return
+        the number tested."""
         allowed = _ALLOWED[last] if last >= 0 else _ALL_LETTERS
         if remaining == 1:
-            n1 = self.n - 1
-            lastrow = tuple(col[n1] for col in cols)
-            count = 0
             for y in allowed:
-                count += 1
-                if (collect_all or not hits):
-                    t = sum(a * b for a, b in zip(lastrow, self.lv[y]))
-                    if t in _GOOD_LAST:
-                        child = self._right_mul(cols, y)
-                        if self._confirm(child):
-                            hits.append(tuple(path) + (y,))
-            return count
+                if hits and not collect_all:
+                    break
+                if sum(a * b for a, b in zip(row, self.lv[y])) in _GOOD_LAST:
+                    word = tuple(path) + (y,)
+                    _, gv, giv = _gamma_data(self.gen, self.v, word)
+                    if linearly_independent((self.v, gv, giv)):
+                        hits.append(word)
+            return len(allowed)
         count = 0
         for y in allowed:
-            child = self._right_mul(cols, y)
             path.append(y)
-            count += self.scan(child, y, remaining - 1, path, hits, collect_all)
+            count += self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)
             path.pop()
         return count
 
-    def scan_level(self, depth: int, collect_all: bool):
-        hits: list[tuple[int, ...]] = []
-        count = self.scan(self.identity_cols, -1, depth, [], hits, collect_all)
-        return count, hits
-
     def prefixes(self, depth: int):
-        """All reduced words of the given length with their column data,
-        in lexicographic order."""
+        """All reduced words of the given length with their last rows, in
+        lexicographic order."""
         out = []
 
-        def rec(cols, last, remaining, path):
+        def rec(row, last, remaining, path):
             if remaining == 0:
-                out.append((tuple(path), last, cols))
+                out.append((tuple(path), last, row))
                 return
             for y in (_ALLOWED[last] if last >= 0 else _ALL_LETTERS):
                 path.append(y)
-                rec(self._right_mul(cols, y), y, remaining - 1, path)
+                rec(self._step(row, y), y, remaining - 1, path)
                 path.pop()
 
-        rec(self.identity_cols, -1, depth, [])
+        rec(self.root, -1, depth, [])
         return out
 
 
@@ -226,17 +210,17 @@ _WORKER_ENGINE: Optional[_Engine] = None
 _WORKER_PREFIXES = None
 
 
-def _worker_init(mats, v, pivot_depth):
+def _worker_init(gen, v):
     global _WORKER_ENGINE, _WORKER_PREFIXES
-    _WORKER_ENGINE = _Engine(mats, v)
-    _WORKER_PREFIXES = _WORKER_ENGINE.prefixes(pivot_depth)
+    _WORKER_ENGINE = _Engine(gen, v)
+    _WORKER_PREFIXES = _WORKER_ENGINE.prefixes(_PIVOT_DEPTH)
 
 
 def _worker_scan(args):
     index, depth, collect_all = args
-    letters, last, cols = _WORKER_PREFIXES[index]
+    letters, last, row = _WORKER_PREFIXES[index]
     hits: list[tuple[int, ...]] = []
-    count = _WORKER_ENGINE.scan(cols, last, depth - len(letters),
+    count = _WORKER_ENGINE.scan(row, last, depth - _PIVOT_DEPTH,
                                 list(letters), hits, collect_all)
     return count, hits
 
@@ -251,14 +235,15 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
     Returns an obstructed outcome without touching the tree when gcd(v) > 2,
     a found outcome with the canonical word (plus every passing word of that
     length when cfg.all_at_min_depth is set), or a not-found outcome after
-    the full tree up to cfg.max_depth has been tested.
+    the full tree up to cfg.max_depth has been tested.  At most
+    os.cpu_count() worker processes are started, whatever cfg.workers asks.
     """
     if cfg.max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     if cfg.workers < 1:
         raise ValueError("workers must be at least 1")
-    if cfg.pivot_depth < 1:
-        raise ValueError("pivot_depth must be at least 1")
+    if cfg.node_budget is not None and cfg.node_budget < 1:
+        raise ValueError("node_budget must be at least 1")
     gen = build_generators(pair)
     v = transvection_vector(gen)
     g = gcd_obstruction(v)
@@ -267,18 +252,14 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
             status=OBSTRUCTED, max_depth=cfg.max_depth, nodes_visited=0,
             nodes_per_depth=(), gcd=g,
         )
-    mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
-    engine = _Engine(mats, v)
-    use_pool = cfg.workers > 1 and cfg.max_depth > cfg.pivot_depth
+    engine = _Engine(gen, v)
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    prefix_count = _count_reduced_words(_PIVOT_DEPTH)
     pool = None
-    prefix_count = 0
     try:
-        if use_pool:
-            prefix_count = len(engine.prefixes(cfg.pivot_depth))
+        if workers > 1 and cfg.max_depth > _PIVOT_DEPTH:
             pool = ProcessPoolExecutor(
-                max_workers=cfg.workers,
-                initializer=_worker_init,
-                initargs=(mats, v, cfg.pivot_depth),
+                max_workers=workers, initializer=_worker_init, initargs=(gen, v),
             )
         nodes_total = 0
         per_depth: list[tuple[int, int]] = []
@@ -286,32 +267,29 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
             projected = _count_reduced_words(depth)
             if cfg.node_budget is not None and nodes_total + projected > cfg.node_budget:
                 raise NodeBudgetExceeded(depth - 1, nodes_total)
-            if pool is not None and depth > cfg.pivot_depth:
+            hits: list[tuple[int, ...]] = []
+            if pool is not None and depth > _PIVOT_DEPTH:
                 count = 0
-                hits: list[tuple[int, ...]] = []
                 tasks = ((i, depth, cfg.all_at_min_depth) for i in range(prefix_count))
-                chunk = max(1, prefix_count // (4 * cfg.workers))
+                chunk = max(1, prefix_count // (4 * workers))
                 for sub_count, sub_hits in pool.map(_worker_scan, tasks, chunksize=chunk):
                     count += sub_count
                     hits.extend(sub_hits)
             else:
-                count, hits = engine.scan_level(depth, cfg.all_at_min_depth)
+                count = engine.scan(engine.root, -1, depth, [], hits, cfg.all_at_min_depth)
             nodes_total += count
             per_depth.append((depth, count))
             if hits:
-                word = Word(hits[0])
-                matrix = identity_matrix(gen.degree)
-                for code in word.letters:
-                    matrix = mat_mul(matrix, gen.letter_matrix(code))
+                matrix, gamma_v, gamma_inv_v = _gamma_data(gen, v, hits[0])
                 return SearchOutcome(
                     status=FOUND,
                     max_depth=cfg.max_depth,
                     nodes_visited=nodes_total,
                     nodes_per_depth=tuple(per_depth),
-                    word=word,
+                    word=Word(hits[0]),
                     matrix=matrix,
-                    gamma_v=mat_vec(matrix, v),
-                    gamma_inv_v=solve_unimodular(matrix, v),
+                    gamma_v=gamma_v,
+                    gamma_inv_v=gamma_inv_v,
                     words_at_depth=(
                         tuple(Word(h) for h in hits) if cfg.all_at_min_depth else None
                     ),

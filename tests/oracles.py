@@ -1,4 +1,4 @@
-"""Plain kernel computations, kept as independent oracles for the tests.
+"""Plain computations, kept as independent oracles for the tests.
 
 The library computes the invariant form from one Krylov solve
 (``hgsp.hgroup.invariant_symplectic_form``).  The code here gets the same
@@ -7,16 +7,31 @@ M^T X M = X as linear rows in the n^2 entries of X and takes the kernel by
 Bareiss elimination and rational back substitution.  It also yields the
 dimensions of the invariant alternating and symmetric spaces, which the
 Krylov solve does not compute.
+
+``canonical_search`` does the same for the witness engine
+(``hgsp.search.search_witness``): it lists the reduced words level by level
+in canonical order and tests each one on its full matrix product, with the
+generic inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
-from hgsp.hgroup import GeneratorPair, transvection_vector
-from hgsp.linalg import Matrix, Vector, _bareiss_echelon
+from hgsp.hgroup import GeneratorPair, build_generators, transvection_vector
+from hgsp.linalg import (
+    Matrix,
+    Vector,
+    _bareiss_echelon,
+    linearly_independent,
+    mat_vec,
+    unimodular_inverse,
+)
+from hgsp.pairs import QualifiedPair
+from hgsp.words import Word, evaluate_word, inverse_letter
 
 
 # -- kernels -------------------------------------------------------------------
@@ -161,3 +176,34 @@ def kernel_symplectic_form(gen: GeneratorPair, v: Vector | None = None) -> Matri
     if v_en < 0:
         omega = tuple(tuple(-x for x in row) for row in omega)
     return omega
+
+
+# -- witness search --------------------------------------------------------------
+
+
+def canonical_search(
+    pair: QualifiedPair, max_depth: int
+) -> tuple[Optional[Word], tuple[tuple[int, int], ...], tuple[Word, ...]]:
+    """(canonical witness or None, per-depth word counts, every passing word
+    of the minimal length), testing the levels 1 .. max_depth in order."""
+    gen = build_generators(pair)
+    v = transvection_vector(gen)
+    per_depth = []
+    for depth in range(1, max_depth + 1):
+        words = [
+            Word(letters)
+            for letters in product(range(4), repeat=depth)
+            if all(y != inverse_letter(x) for x, y in zip(letters, letters[1:]))
+        ]
+        per_depth.append((depth, len(words)))
+        hits = []
+        for word in words:
+            m = evaluate_word(word, gen)
+            mv = mat_vec(m, v)
+            if mv[-1] in (1, -1, 2, -2) and linearly_independent(
+                (v, mv, mat_vec(unimodular_inverse(m), v))
+            ):
+                hits.append(word)
+        if hits:
+            return hits[0], tuple(per_depth), tuple(hits)
+    return None, tuple(per_depth), ()

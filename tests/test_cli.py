@@ -155,7 +155,7 @@ def test_search_obstructed(capsys):
     assert blob["gcd"] == 4
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--max-depth", "--pivot-depth"])
+@pytest.mark.parametrize("flag", ["--threads", "--max-depth", "--node-budget"])
 def test_search_rejects_zero_counts(capsys, flag):
     # argparse rejects the value before any search or process starts
     with pytest.raises(SystemExit) as err:
@@ -191,6 +191,30 @@ def test_search_cache_round_trip(tmp_path, capsys):
     rc, out, _ = run(capsys, *argv + ["--force"])
     assert rc == 0
     assert json.loads(out).get("cached") is not True
+
+
+def test_search_cache_does_not_serve_stale_witness(tmp_path, capsys):
+    # "A" is not a witness for 1^6|3,6^2 (its certificate fails at last_entry),
+    # and no word up to depth 2 is: the fresh not-found record must replace
+    # the stale one although a witness record outranks any searched depth
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({
+        "pair_id": "1^6|3,6^2", "degree": 6, "searched_depth": 1,
+        "kind": "arithmetic_witness", "witness": "A", "witness_length": 1,
+        "gcd": None, "nodes": 4, "created_at": "", "tool_version": "",
+    }) + "\n")
+    argv = ["search", "--f", "1^6", "--g", "3,6^2",
+            "--max-depth", "2", "--cache", str(cache)]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    blob = json.loads(out)
+    assert "cached" not in blob and blob["class"] == "unknown"
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    blob = json.loads(out)
+    assert blob["cached"] is True and blob["kind"] == "unknown"
+    (line,) = cache.read_text().splitlines()
+    assert json.loads(line)["kind"] == "unknown"
 
 
 def test_verify_tabulated_witness_passes(capsys):

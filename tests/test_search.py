@@ -1,11 +1,15 @@
 """Witness search engine: outcomes, node counts, workers, reference parity."""
 
+import random
+
 import pytest
 
+from hgsp import search
 from hgsp.certify import verify_witness
 from hgsp.fixtures import TABLE_A
 from hgsp.hgroup import build_generators, transvection_vector
 from hgsp.linalg import mat_vec, unimodular_inverse
+from hgsp.pairs import enumerate_qualified_pairs
 from hgsp.search import (
     FOUND,
     NOT_FOUND,
@@ -17,6 +21,8 @@ from hgsp.search import (
     search_witness,
 )
 from hgsp.words import Word, evaluate_word
+
+from oracles import canonical_search
 
 
 def table_pair(number):
@@ -114,13 +120,18 @@ def test_worker_counts_do_not_change_results():
     assert len({o.nodes_per_depth for o in outs}) == 1
 
 
-def test_pivot_depth_does_not_change_results():
+def test_workers_capped_at_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker process may start")
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
     pair = table_pair(35)
-    a = search_witness(pair, SearchConfig(max_depth=6, workers=2, pivot_depth=2))
-    b = search_witness(pair, SearchConfig(max_depth=6, workers=2, pivot_depth=5))
-    c = search_witness(pair, SearchConfig(max_depth=6, workers=1))
-    assert str(a.word) == str(b.word) == str(c.word)
-    assert a.nodes_per_depth == b.nodes_per_depth == c.nodes_per_depth
+    one = search_witness(pair, SearchConfig(max_depth=6, workers=1))
+    eight = search_witness(pair, SearchConfig(max_depth=6, workers=8))
+    assert eight.status == one.status == FOUND
+    assert eight.word == one.word
+    assert eight.nodes_per_depth == one.nodes_per_depth
 
 
 def test_node_budget_stops_before_overrun():
@@ -196,3 +207,49 @@ def test_invalid_config_rejected():
         search_witness(table_pair(20), SearchConfig(max_depth=-1))
     with pytest.raises(ValueError):
         search_witness(table_pair(20), SearchConfig(max_depth=3, workers=0))
+    with pytest.raises(ValueError):
+        search_witness(table_pair(20), SearchConfig(max_depth=3, node_budget=0))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """A seed-picked sample of the degree-4, 6 and 8 classes that need a
+    witness (|lc| >= 3, no gcd obstruction), each with the canonical search
+    oracle's answer to depth 5."""
+    rng = random.Random(6021)
+    cases = []
+    for degree, k in ((4, 4), (6, 4), (8, 3)):
+        pairs = [
+            p for p in enumerate_qualified_pairs(degree)
+            if abs(p.lc) >= 3
+            and gcd_obstruction(transvection_vector(build_generators(p))) is None
+        ]
+        for pair in rng.sample(pairs, k):
+            cases.append((pair, canonical_search(pair, 5)))
+    return cases
+
+
+def test_engine_matches_canonical_oracle(oracle_cases):
+    for pair, (word, per_depth, hits) in oracle_cases:
+        first = search_witness(pair, SearchConfig(max_depth=5))
+        every = search_witness(pair, SearchConfig(max_depth=5, all_at_min_depth=True))
+        for out in (first, every):
+            assert out.status == (FOUND if word else NOT_FOUND), pair.pair_id
+            assert out.word == word, pair.pair_id
+            assert out.nodes_per_depth == per_depth, pair.pair_id
+        assert first.words_at_depth is None
+        assert every.words_at_depth == (hits if word else None), pair.pair_id
+    # the sample covers found and not-found classes, and ties at the minimal depth
+    assert {w is None for _, (w, _, _) in oracle_cases} == {True, False}
+    assert any(len(hits) > 1 for _, (_, _, hits) in oracle_cases)
+
+
+def test_worker_pool_matches_canonical_oracle(oracle_cases):
+    # depth 5 is past the pivot depth, so two workers split that level
+    pair, (word, per_depth, hits) = next(
+        case for case in oracle_cases if case[1][0] is None or len(case[1][0]) == 5
+    )
+    out = search_witness(pair, SearchConfig(max_depth=5, workers=2, all_at_min_depth=True))
+    assert out.word == word
+    assert out.nodes_per_depth == per_depth
+    assert (out.words_at_depth or ()) == hits
