@@ -14,26 +14,29 @@ restrictions take the shapes
            (0 1 -c)             (0 1 0)             (0 l2 m2)
            (0 0  1)             (0 c 1)             (0 l3 m3)
 
-with l1 nonzero and the lower right 2x2 block of C3|W unipotent.  All of
-this runs in exact rational arithmetic; the report carries one flag per
-check plus the computed objects, and the verdict is their conjunction.
+with l1 nonzero and the lower right 2x2 block U of C3|W unipotent
+(tr U = 2 and det U = 1).  All of this runs in exact integer arithmetic:
+the three restrictions come from one fraction-free solve of the 3x3 Gram
+system of {e, w1, w2}, scaled by its determinant d, and rebuilding every
+image from its coordinates shows whether it lies in W at all.  Fractions
+appear only in the reported matrix entries.  The report carries one flag
+per check plus the computed objects, and the verdict is their conjunction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hgroup import (
-    GeneratorPair,
-    SymplecticForm,
     build_generators,
     invariant_symplectic_form,
     is_transvection,
     transvection_vector,
 )
-from .linalg import Vector, linearly_independent, mat_mul, mat_vec
+from .linalg import Matrix, Vector, linearly_independent, mat_mul, mat_vec, solve_scaled
 from .pairs import QualifiedPair
 from .words import Word, evaluate_word
 
@@ -92,114 +95,56 @@ class CertificateReport:
     first_failure: Optional[str] = None
 
     def to_json(self) -> dict:
-        def frac(x):
-            return str(x) if x is not None else None
+        """The fields in order, with tuples as lists and fractions as strings."""
 
-        def frac_matrix(m):
-            if m is None:
-                return None
-            return [[str(x) for x in row] for row in m]
+        def plain(x):
+            if isinstance(x, tuple):
+                return [plain(y) for y in x]
+            return str(x) if isinstance(x, Fraction) else x
 
-        return {
-            "pair_id": self.pair_id,
-            "word": self.word,
-            "degree": self.degree,
-            "c": self.c,
-            "omega_v_en": self.omega_v_en,
-            "last_entry_ok": self.last_entry_ok,
-            "independence_ok": self.independence_ok,
-            "omega_v_prefix_zero_ok": self.omega_v_prefix_zero_ok,
-            "omega_v_last_nonzero_ok": self.omega_v_last_nonzero_ok,
-            "omega_word_relation_ok": self.omega_word_relation_ok,
-            "c1_transvection_ok": self.c1_transvection_ok,
-            "c2_transvection_ok": self.c2_transvection_ok,
-            "c3_transvection_ok": self.c3_transvection_ok,
-            "radical_dimension": self.radical_dimension,
-            "radical_dimension_ok": self.radical_dimension_ok,
-            "basis_ok": self.basis_ok,
-            "e_vector": list(self.e_vector) if self.e_vector else None,
-            "fixed_e_ok": self.fixed_e_ok,
-            "c1_restriction": frac_matrix(self.c1_restriction),
-            "c2_restriction": frac_matrix(self.c2_restriction),
-            "c3_restriction": frac_matrix(self.c3_restriction),
-            "c1_form_ok": self.c1_form_ok,
-            "c2_form_ok": self.c2_form_ok,
-            "c3_first_column_ok": self.c3_first_column_ok,
-            "l1": frac(self.l1),
-            "l1_nonzero_ok": self.l1_nonzero_ok,
-            "u_unipotent_ok": self.u_unipotent_ok,
-            "verdict": self.verdict,
-            "first_failure": self.first_failure,
-        }
+        return {name: plain(x) for name, x in asdict(self).items()}
 
 
-def _coords_in_span(basis: Sequence[Vector], x: Vector) -> Optional[tuple[Fraction, ...]]:
-    """Coordinates of x in the given (independent) vectors, or None if x is
-    outside their span.  Plain rational elimination on the tall system."""
-    n = len(x)
-    k = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(x[i])] for i in range(n)]
-    row = 0
-    for col in range(k):
-        sel = next((i for i in range(row, n) if aug[i][col]), None)
-        if sel is None:
-            return None  # basis not independent; caller checks that first
-        aug[row], aug[sel] = aug[sel], aug[row]
-        piv = aug[row][col]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col] / piv
-                for j in range(col, k + 1):
-                    aug[i][j] -= f * aug[row][j]
-        row += 1
-    # Any nonzero residue below the pivot rows means x is not in the span.
-    for i in range(row, n):
-        if aug[i][k]:
-            return None
-    return tuple(aug[r][k] / aug[r][r] for r in range(k))
-
-
-def _restriction_matrix(
-    basis: Sequence[Vector], images: Sequence[Vector]
-) -> Optional[RatMatrix]:
-    """Matrix of a map on span(basis), columns = coordinates of the images."""
-    cols = []
-    for img in images:
-        coords = _coords_in_span(basis, img)
-        if coords is None:
-            return None
-        cols.append(coords)
-    k = len(basis)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))
 
 
 def _primitive(vec: Sequence[int]) -> Vector:
-    from math import gcd
+    g = math.gcd(*vec)
+    sign = -1 if next(x for x in vec if x) < 0 else 1
+    return tuple(sign * x // g for x in vec)
 
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    out = [x // g for x in vec]
-    first = next(x for x in out if x)
-    if first < 0:
-        out = [-x for x in out]
-    return tuple(out)
+
+def _scaled_restrictions(
+    basis: Sequence[Vector], maps: Sequence[Matrix]
+) -> tuple[int, list[Optional[Matrix]]]:
+    """(d, [d * M|span(basis) for M in maps]) for d the Gram determinant.
+
+    The Gram system G x = B^T y, solved once for every image y, gives
+    the coordinates of y's projection onto the span; y lies in the span
+    exactly when B (d x) == d y, and a map with an image outside it gets
+    None.  d is 0 exactly when the basis is dependent.
+    """
+    images = [mat_vec(m, b) for m in maps for b in basis]
+    gram = tuple(tuple(_dot(x, y) for y in basis) for x in basis)
+    d, xs = solve_scaled(gram, [[_dot(b, y) for y in images] for b in basis])
+    if d == 0:
+        return 0, [None] * len(maps)
+    inside = [
+        all(_dot(x, col) == d * yi for col, yi in zip(zip(*basis), y))
+        for x, y in zip(xs, images)
+    ]
+    k = len(basis)
+    return d, [
+        tuple(zip(*xs[t : t + k])) if all(inside[t : t + k]) else None
+        for t in range(0, len(xs), k)
+    ]
 
 
 def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
     gen = build_generators(pair)
     v = transvection_vector(gen)
     form = invariant_symplectic_form(gen, v)
-    return _verify(pair, word, gen, v, form)
-
-
-def _verify(
-    pair: QualifiedPair,
-    word: Word,
-    gen: GeneratorPair,
-    v: Vector,
-    form: SymplecticForm,
-) -> CertificateReport:
     n = gen.degree
     gamma = evaluate_word(word, gen)
     gamma_inv = evaluate_word(word.inverse(), gen)
@@ -208,7 +153,7 @@ def _verify(
     w3 = mat_vec(gamma, v)
     c = w3[n - 1]
 
-    checks: dict[str, Optional[bool]] = {name: None for name in CHECK_ORDER}
+    checks: dict[str, Optional[bool]] = dict.fromkeys(CHECK_ORDER)
     checks["last_entry"] = c in (1, -1, 2, -2)
     checks["independence"] = linearly_independent((w1, w2, w3))
 
@@ -229,7 +174,7 @@ def _verify(
 
     radical_dim: Optional[int] = None
     e_vec: Optional[Vector] = None
-    c1_w = c2_w = c3_w = None
+    restrictions: list[Optional[RatMatrix]] = [None, None, None]
     l1: Optional[Fraction] = None
 
     if checks["independence"]:
@@ -243,64 +188,40 @@ def _verify(
         radical_dim = 1 if any(coeffs) else 3
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:
-            e_raw = tuple(
-                coeffs[0] * w1[i] + coeffs[1] * w2[i] + coeffs[2] * w3[i]
-                for i in range(n)
+            e_vec = _primitive(
+                tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
             )
-            e_vec = _primitive(e_raw)
-            basis = (e_vec, w1, w2)
-            checks["basis"] = linearly_independent(basis)
+            d, scaled = _scaled_restrictions((e_vec, w1, w2), (c1, c2, c3))
+            checks["basis"] = d != 0
             if checks["basis"]:
                 checks["fixed_e"] = all(
                     mat_vec(m, e_vec) == e_vec for m in (c1, c2, c3)
                 )
-                c1_w = _restriction_matrix(basis, [mat_vec(c1, b) for b in basis])
-                c2_w = _restriction_matrix(basis, [mat_vec(c2, b) for b in basis])
-                c3_w = _restriction_matrix(basis, [mat_vec(c3, b) for b in basis])
-                if c1_w is None or c2_w is None or c3_w is None:
+                restrictions = [
+                    None if s is None
+                    else tuple(tuple(Fraction(x, d) for x in row) for row in s)
+                    for s in scaled
+                ]
+                s1, s2, s3 = scaled
+                if None in scaled:
                     # Some image escapes W; report it on the form checks.
-                    checks["c1_form"] = c1_w is not None
-                    checks["c2_form"] = c2_w is not None
-                    checks["c3_first_column"] = c3_w is not None
+                    checks["c1_form"] = s1 is not None
+                    checks["c2_form"] = s2 is not None
+                    checks["c3_first_column"] = s3 is not None
                 else:
-                    expected_c1 = (
-                        (Fraction(1), Fraction(0), Fraction(0)),
-                        (Fraction(0), Fraction(1), Fraction(-c)),
-                        (Fraction(0), Fraction(0), Fraction(1)),
-                    )
-                    expected_c2 = (
-                        (Fraction(1), Fraction(0), Fraction(0)),
-                        (Fraction(0), Fraction(1), Fraction(0)),
-                        (Fraction(0), Fraction(c), Fraction(1)),
-                    )
-                    checks["c1_form"] = c1_w == expected_c1
-                    checks["c2_form"] = c2_w == expected_c2
-                    checks["c3_first_column"] = (
-                        c3_w[0][0] == 1 and c3_w[1][0] == 0 and c3_w[2][0] == 0
-                    )
-                    l1 = c3_w[0][1]
-                    checks["l1_nonzero"] = l1 != 0
-                    u = (
-                        (c3_w[1][1], c3_w[1][2]),
-                        (c3_w[2][1], c3_w[2][2]),
-                    )
-                    u_minus_1 = (
-                        (u[0][0] - 1, u[0][1]),
-                        (u[1][0], u[1][1] - 1),
-                    )
-                    square = tuple(
-                        tuple(
-                            sum(u_minus_1[i][k] * u_minus_1[k][j] for k in range(2))
-                            for j in range(2)
-                        )
-                        for i in range(2)
-                    )
-                    checks["u_unipotent"] = square == ((0, 0), (0, 0))
+                    checks["c1_form"] = s1 == ((d, 0, 0), (0, d, -c * d), (0, 0, d))
+                    checks["c2_form"] = s2 == ((d, 0, 0), (0, d, 0), (0, c * d, d))
+                    checks["c3_first_column"] = (s3[0][0], s3[1][0], s3[2][0]) == (d, 0, 0)
+                    l1 = restrictions[2][0][1]
+                    checks["l1_nonzero"] = s3[0][1] != 0
+                    trace_u = s3[1][1] + s3[2][2]
+                    det_u = s3[1][1] * s3[2][2] - s3[1][2] * s3[2][1]
+                    checks["u_unipotent"] = trace_u == 2 * d and det_u == d * d
 
-    verdict = all(checks[name] for name in CHECK_ORDER)
+    verdict = all(checks.values())
     first_failure = next(
         (name for name in CHECK_ORDER if checks[name] is not True), None
-    ) if not verdict else None
+    )
 
     return CertificateReport(
         pair_id=pair.pair_id,
@@ -308,28 +229,13 @@ def _verify(
         degree=n,
         c=c,
         omega_v_en=omega_v_en,
-        last_entry_ok=bool(checks["last_entry"]),
-        independence_ok=bool(checks["independence"]),
-        omega_v_prefix_zero_ok=bool(checks["omega_v_prefix_zero"]),
-        omega_v_last_nonzero_ok=bool(checks["omega_v_last_nonzero"]),
-        omega_word_relation_ok=bool(checks["omega_word_relation"]),
-        c1_transvection_ok=bool(checks["c1_transvection"]),
-        c2_transvection_ok=bool(checks["c2_transvection"]),
-        c3_transvection_ok=bool(checks["c3_transvection"]),
         radical_dimension=radical_dim,
-        radical_dimension_ok=checks["radical_dimension"],
-        basis_ok=checks["basis"],
         e_vector=e_vec,
-        fixed_e_ok=checks["fixed_e"],
-        c1_restriction=c1_w,
-        c2_restriction=c2_w,
-        c3_restriction=c3_w,
-        c1_form_ok=checks["c1_form"],
-        c2_form_ok=checks["c2_form"],
-        c3_first_column_ok=checks["c3_first_column"],
+        c1_restriction=restrictions[0],
+        c2_restriction=restrictions[1],
+        c3_restriction=restrictions[2],
         l1=l1,
-        l1_nonzero_ok=checks["l1_nonzero"],
-        u_unipotent_ok=checks["u_unipotent"],
         verdict=verdict,
         first_failure=first_failure,
+        **{name + "_ok": checks[name] for name in CHECK_ORDER},
     )

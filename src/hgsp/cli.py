@@ -10,6 +10,11 @@ Pairs are given in one of three equivalent forms: parameter lists
 text (--f 1^6 --g 3^2,6), or ascending coefficients
 (--f-coeffs 1,-6,15,-20,15,-6,1 --g-coeffs ...).
 
+Pair input and enumerate --degree are capped at MAX_DEGREE: a larger
+degree, or a cyclotomic index or parameter denominator m with
+totient(m) > MAX_DEGREE, is a usage error caught before anything is
+expanded or factored.
+
 Exit codes: 0 success, 1 domain failure (failed verdict, unqualified
 pair, report mismatch, exhausted budget), 2 usage or syntax error.
 """
@@ -22,7 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from .cache import CacheRecord, ResultCache, default_cache_path, record_for
@@ -30,6 +35,7 @@ from .certify import CHECK_ORDER, CertificateReport, verify_witness
 from .cyclotomic import (
     CycloFactorization,
     NotCyclotomicProduct,
+    admissible_indices,
     factorization_from_parameters,
     factorization_from_poly,
     parse_parameters,
@@ -57,6 +63,7 @@ from .search import (
     OBSTRUCTED,
     NodeBudgetExceeded,
     SearchConfig,
+    gcd_obstruction,
     search_witness,
 )
 from .words import NotReducedError, Word, WordSyntaxError
@@ -73,6 +80,10 @@ CSV_COLUMNS = (
     "depth",
 )
 
+#: Largest degree accepted on input: degree 12 enumerates 75,421 classes,
+#: and each step of 2 costs about five times more.
+MAX_DEGREE = 12
+
 
 class DomainError(Exception):
     """Input parsed fine but names something outside the domain."""
@@ -86,6 +97,20 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above the limit {MAX_DEGREE}")
+
+
+def _check_indices(indices: Iterable[int], what: str) -> None:
+    allowed = admissible_indices(MAX_DEGREE)
+    for m in indices:
+        if m not in allowed:
+            raise ValueError(
+                f"{what} {m} is out of range (its totient exceeds {MAX_DEGREE})"
+            )
 
 
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
@@ -116,19 +141,21 @@ def _resolve_factorizations(
         )
     try:
         if args.alpha is not None:
-            return (
-                factorization_from_parameters(parse_parameters(args.alpha)),
-                factorization_from_parameters(parse_parameters(args.beta)),
-            )
+            sides = (parse_parameters(args.alpha), parse_parameters(args.beta))
+            for params in sides:
+                _check_indices((r.denominator for r in params), "denominator")
+                _check_degree(len(params))
+            return tuple(factorization_from_parameters(p) for p in sides)
         if args.f is not None:
-            return (
-                CycloFactorization.parse(args.f),
-                CycloFactorization.parse(args.g),
-            )
-        return (
-            factorization_from_poly(parse_coefficients(args.f_coeffs)),
-            factorization_from_poly(parse_coefficients(args.g_coeffs)),
-        )
+            facs = (CycloFactorization.parse(args.f), CycloFactorization.parse(args.g))
+            for fac in facs:
+                _check_indices((m for m, _ in fac.factors), "cyclotomic index")
+                _check_degree(fac.degree)
+            return facs
+        polys = (parse_coefficients(args.f_coeffs), parse_coefficients(args.g_coeffs))
+        for p in polys:
+            _check_degree(p.degree)
+        return tuple(factorization_from_poly(p) for p in polys)
     except NotCyclotomicProduct as exc:
         raise DomainError(str(exc)) from exc
     except (ValueError, TypeError) as exc:
@@ -197,6 +224,8 @@ def _write_records(records: list[dict], fmt: str, out: TextIO) -> None:
 def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.degree < 2 or args.degree % 2:
         parser.error(f"degree must be a positive even integer, got {args.degree}")
+    if args.degree > MAX_DEGREE:
+        parser.error(f"degree must be at most {MAX_DEGREE}, got {args.degree}")
     pairs = enumerate_qualified_pairs(args.degree, args.convention, mum_only=args.mum)
     records = [_pair_record(p, with_omega=args.with_omega) for p in pairs]
     if args.output:
@@ -253,7 +282,10 @@ def _record_to_output(record: CacheRecord, cached: bool) -> dict:
 
 def _certified(pair: QualifiedPair, record: CacheRecord) -> bool:
     """Whether a cached record may be served: a witness must pass its
-    full certificate again."""
+    full certificate again and an obstruction must match gcd(v)."""
+    if record.kind == "obstructed":
+        v = transvection_vector(build_generators(pair))
+        return gcd_obstruction(v) == record.gcd
     if record.kind != "arithmetic_witness":
         return True
     try:
@@ -275,7 +307,7 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 if _certified(pair, hit):
                     print(json.dumps(_record_to_output(hit, cached=True)))
                     return 0
-                # a witness that fails its certificate must not outrank the rerun
+                # a record that fails its check must not outrank the rerun
                 cache.discard(pair.pair_id)
     cfg = SearchConfig(
         max_depth=args.max_depth,

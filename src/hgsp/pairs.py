@@ -87,15 +87,6 @@ class PairClassification:
     witness_length: Optional[int] = None
     searched_depth: Optional[int] = None
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gcd": self.gcd,
-            "witness": self.witness,
-            "witness_length": self.witness_length,
-            "searched_depth": self.searched_depth,
-        }
-
 
 def qualification_failures(
     f_fac: CycloFactorization, g_fac: CycloFactorization

@@ -15,7 +15,7 @@ then show the alternate totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import fixtures
@@ -39,12 +39,7 @@ class ReportCheck:
     mismatches: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "mismatches": list(self.mismatches),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ The text form collapses runs, so the letter tuple (0, 0, 1, 2, 2) prints
 as "A^2BA^-2" and parses back to itself.  Parenthesized groups with
 exponents, as in "(A^2B)^-1", are also accepted on input so that witness
 words quoted from tables paste straight in.  Words that are not reduced
-are rejected rather than silently cancelled.
+are rejected rather than silently cancelled, and so is any text that
+would expand to more than MAX_WORD_LENGTH letters.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .linalg import Matrix, identity_matrix, mat_mul
 A, B, A_INV, B_INV = 0, 1, 2, 3
 LETTER_NAMES = ("A", "B", "A^-1", "B^-1")
 BASE_LETTER = ("A", "B", "A", "B")
+#: Longest word the parser expands; about 70 times the longest tabulated
+#: witness (14 letters).
+MAX_WORD_LENGTH = 1000
 
 
 def inverse_letter(code: int) -> int:
@@ -109,10 +113,17 @@ def _parse_exponent(text: str, pos: int) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise WordSyntaxError(f"missing exponent digits at position {start}")
-    value = int(text[start:pos])
+    digits = text[start:pos].lstrip("0")
+    if len(digits) > len(str(MAX_WORD_LENGTH)):
+        raise _too_long()  # no int() of an arbitrarily long digit string
+    value = int(digits or "0")
     if value == 0:
         raise WordSyntaxError("exponent 0 is not allowed")
     return (-value if negative else value), pos
+
+
+def _too_long() -> WordSyntaxError:
+    return WordSyntaxError(f"word longer than {MAX_WORD_LENGTH} letters")
 
 
 def _parse_sequence(text: str, pos: int, top: bool) -> tuple[list[int], int]:
@@ -131,12 +142,16 @@ def _parse_sequence(text: str, pos: int, top: bool) -> tuple[list[int], int]:
                 raise WordSyntaxError("empty parenthesized group")
             pos += 1
             exp, pos = _parse_exponent(text, pos)
+            if len(letters) + len(inner) * abs(exp) > MAX_WORD_LENGTH:
+                raise _too_long()
             block = inner if exp > 0 else [inverse_letter(c) for c in reversed(inner)]
             for _ in range(abs(exp)):
                 letters.extend(block)
         elif ch in ("A", "B"):
             base = A if ch == "A" else B
             exp, pos2 = _parse_exponent(text, pos + 1)
+            if len(letters) + abs(exp) > MAX_WORD_LENGTH:
+                raise _too_long()
             code = base if exp > 0 else inverse_letter(base)
             letters.extend([code] * abs(exp))
             pos = pos2

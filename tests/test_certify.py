@@ -2,8 +2,14 @@
 
 from fractions import Fraction
 
-from hgsp.certify import CHECK_ORDER, CertificateReport, verify_witness
+from hgsp.certify import (
+    CHECK_ORDER,
+    CertificateReport,
+    _scaled_restrictions,
+    verify_witness,
+)
 from hgsp.fixtures import DEPENDENT_EXAMPLES, TABLE_A, witness_rows
+from hgsp.linalg import identity_matrix
 from hgsp.words import Word
 
 
@@ -118,3 +124,23 @@ def test_report_is_a_dataclass_instance():
     assert isinstance(report, CertificateReport)
     assert report.degree == 6
     assert report.pair_id == row.pair().pair_id
+
+
+def test_scaled_restrictions_detect_an_image_outside_the_span():
+    # basis 2e1, e2, e3 of a 3-space in Z^4: Gram determinant 4
+    basis = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    ident = identity_matrix(4)
+    # e2 -> e1 = (1/2)(2e1): inside, with a fractional coordinate
+    to_e1 = tuple(tuple(1 if (i, j) in ((0, 0), (0, 1), (2, 2), (3, 3)) else 0
+                        for j in range(4)) for i in range(4))
+    # e3 -> e3 + e4 leaves the span
+    escape = tuple(tuple(1 if i == j or (i, j) == (3, 2) else 0
+                         for j in range(4)) for i in range(4))
+    d, scaled = _scaled_restrictions(basis, (ident, to_e1, escape))
+    assert d == 4
+    assert scaled[0] == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
+    assert scaled[1] == ((4, 2, 0), (0, 0, 0), (0, 0, 4))
+    assert scaled[2] is None
+    # a dependent basis has Gram determinant 0
+    dependent = ((1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0))
+    assert _scaled_restrictions(dependent, (ident,)) == (0, [None])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hgsp.cli import CSV_COLUMNS, main
+from hgsp.cyclotomic import CycloFactorization
 
 
 def run(capsys, *argv):
@@ -194,27 +195,44 @@ def test_search_cache_round_trip(tmp_path, capsys):
 
 
 def test_search_cache_does_not_serve_stale_witness(tmp_path, capsys):
-    # "A" is not a witness for 1^6|3,6^2 (its certificate fails at last_entry),
-    # and no word up to depth 2 is: the fresh not-found record must replace
-    # the stale one although a witness record outranks any searched depth
+    # "A" is not a witness for 1^6|3,6^2 (its certificate fails at last_entry)
+    # and gcd(v) = 1 there, not 9; no word up to depth 2 is a witness, so the
+    # fresh not-found record must replace each stale one although a witness
+    # or obstruction record outranks any searched depth
+    stale = [
+        {"kind": "arithmetic_witness", "witness": "A", "witness_length": 1, "gcd": None},
+        {"kind": "obstructed", "witness": None, "witness_length": None, "gcd": 9},
+    ]
+    for fields in stale:
+        cache = tmp_path / f"{fields['kind']}.jsonl"
+        cache.write_text(json.dumps({
+            "pair_id": "1^6|3,6^2", "degree": 6, "searched_depth": 1,
+            "nodes": 4, "created_at": "", "tool_version": "", **fields,
+        }) + "\n")
+        argv = ["search", "--f", "1^6", "--g", "3,6^2",
+                "--max-depth", "2", "--cache", str(cache)]
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        blob = json.loads(out)
+        assert "cached" not in blob and blob["class"] == "unknown", fields
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        blob = json.loads(out)
+        assert blob["cached"] is True and blob["kind"] == "unknown"
+        (line,) = cache.read_text().splitlines()
+        assert json.loads(line)["kind"] == "unknown"
+
+
+def test_search_cache_serves_true_obstruction(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    cache.write_text(json.dumps({
-        "pair_id": "1^6|3,6^2", "degree": 6, "searched_depth": 1,
-        "kind": "arithmetic_witness", "witness": "A", "witness_length": 1,
-        "gcd": None, "nodes": 4, "created_at": "", "tool_version": "",
-    }) + "\n")
-    argv = ["search", "--f", "1^6", "--g", "3,6^2",
-            "--max-depth", "2", "--cache", str(cache)]
+    argv = ["search", "--f", "1^6", "--g", "2^6",
+            "--max-depth", "4", "--cache", str(cache)]
     rc, out, _ = run(capsys, *argv)
-    assert rc == 0
-    blob = json.loads(out)
-    assert "cached" not in blob and blob["class"] == "unknown"
+    assert rc == 0 and json.loads(out)["status"] == "obstructed"
     rc, out, _ = run(capsys, *argv)
-    assert rc == 0
     blob = json.loads(out)
-    assert blob["cached"] is True and blob["kind"] == "unknown"
-    (line,) = cache.read_text().splitlines()
-    assert json.loads(line)["kind"] == "unknown"
+    assert rc == 0
+    assert blob["cached"] is True and blob["kind"] == "obstructed" and blob["gcd"] == 4
 
 
 def test_verify_tabulated_witness_passes(capsys):
@@ -263,9 +281,42 @@ def test_verify_word_with_parentheses(capsys):
 
 
 def test_verify_malformed_word_is_usage_error(capsys):
+    for word, message in (("A^", "missing exponent digits"),
+                          ("A^10000000000", "word longer than 1000 letters")):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--f", "1^6", "--g", "3^2,6", "--word", word])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("oversized input must be refused before this runs")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--f", "1^6", "--g", "30030"], "cyclotomic index 30030"),
+    (["analyze", "--f", "1^14", "--g", "2^14"], "degree 14"),
+    (["analyze", "--alpha", "0,0,0,0,0,0", "--beta", "1/100000007"],
+     "denominator 100000007"),
+    (["analyze", "--f-coeffs", ",".join(["1"] * 15), "--g-coeffs", "1,1"],
+     "degree 14"),
+    (["enumerate", "--degree", "14"], "at most 12, got 14"),
+], ids=["f-g-index", "f-g-degree", "alpha-beta", "coeffs", "enumerate"])
+def test_input_above_max_degree_is_usage_error(monkeypatch, capsys, argv, message):
+    # the index is refused before its totient is taken, and nothing is
+    # expanded, factored or enumerated before the rejection
+    monkeypatch.setattr(CycloFactorization, "expand", _refuse)
+    for name in ("factorization_from_parameters", "factorization_from_poly",
+                 "enumerate_qualified_pairs"):
+        monkeypatch.setattr(f"hgsp.cli.{name}", _refuse)
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--f", "1^6", "--g", "3^2,6", "--word", "A^"])
+        main(argv)
     assert err.value.code == 2
+    (line,) = [
+        line for line in capsys.readouterr().err.splitlines()
+        if not line.startswith("usage:")
+    ]
+    assert message in line
 
 
 def test_report_passes_by_default(capsys):

@@ -12,6 +12,7 @@ from hgsp.words import (
     A_INV,
     B,
     B_INV,
+    MAX_WORD_LENGTH,
     NotReducedError,
     Word,
     WordSyntaxError,
@@ -64,6 +65,23 @@ def test_parse_rejects_syntax_errors():
     for bad in ("", "C", "A^", "A^0", "A^-", "(AB", "AB)", "()", "A^1.5"):
         with pytest.raises(WordSyntaxError):
             Word.parse(bad)
+    # longer than MAX_WORD_LENGTH, refused before the letters are expanded
+    too_long = (
+        "A^1001", "A^-1001", "A" * 1001, "A^999B^2", "(AB)^501", "B(AB)^500",
+        "((A^10B)^10A)^10", "A^3000000", "A^10000000000", "(AB)^1000000000",
+        "A^" + "9" * 5000,
+    )
+    for bad in too_long:
+        with pytest.raises(WordSyntaxError, match="longer than 1000 letters"):
+            Word.parse(bad)
+
+
+def test_parse_accepts_words_up_to_the_length_limit():
+    assert MAX_WORD_LENGTH == 1000
+    assert len(Word.parse("A^1000")) == 1000
+    assert len(Word.parse("(AB)^500")) == 1000
+    assert len(Word.parse("A^999B")) == 1000
+    assert Word.parse("A^0002") == Word.parse("A^2")
 
 
 def test_parse_rejects_unreduced():
