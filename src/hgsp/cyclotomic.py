@@ -214,12 +214,18 @@ def factorization_from_parameters(params: Sequence[Fraction]) -> CycloFactorizat
 
 
 def parse_parameters(text: str) -> tuple[Fraction, ...]:
-    """Parse "1/3,2/3,0,..." into a sorted tuple of fractions in [0, 1)."""
+    """Parse "1/3,2/3,0,..." into a sorted tuple of fractions in [0, 1).
+
+    Exponent forms such as "1e-9" are refused before they reach Fraction,
+    which would build 10^k for any exponent k.
+    """
     items = [t.strip() for t in text.split(",")]
     if not items or items == [""]:
         raise ValueError("empty parameter list")
     out = []
     for t in items:
+        if "e" in t or "E" in t:
+            raise ValueError(f"bad parameter {t!r}: exponent notation is not accepted")
         try:
             out.append(Fraction(t))
         except (ValueError, ZeroDivisionError):

@@ -10,6 +10,7 @@ and their inverses are written down in closed form.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .poly import IntPoly
@@ -42,7 +43,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch in matrix-vector product")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

@@ -13,10 +13,18 @@ Everything here is exact integer arithmetic.  The last entry of gamma(v)
 is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
 is the only state the search carries.  A step r -> r L copies entry i of r
 where column j of L is e_i and takes one dot product over the nonzeros of
-every other column; a leaf's last entry is r . (L v) against the
-precomputed L v.  Only a word whose last entry passes is multiplied out in
-full, for the unimodular solve and the independence test.  With workers,
-each level deeper than 4 is split over the 108 reduced words of length 4.
+every other column.  The last 4 letters of every word (all of a shorter
+one) are tested as a suffix block: the reduced suffixes s that may follow
+the prefix, in lexicographic order, with each coordinate of w_s = L_s v
+packed into one big int at 64 bits per suffix.  One dot product of r with
+the packed coordinates gives every r . w_s at once, and is used only when
+max|r_i| * max_s |w_s|_1 < 2^63, which keeps each r . w_s + 2^63 inside
+its unsigned 64-bit field.  When no field holds +-1 or +-2 the block has
+no hit; otherwise, or when the bound fails, the block is walked with
+plain dot products.  Only a word whose last entry passes is multiplied out
+in full, for the unimodular solve and the independence test.  With
+workers, each level deeper than 4 is split over the 108 reduced words of
+length 4.
 
 ``reference_search`` is a deliberately plain recursive first-hit searcher,
 kept slow and obvious, used to cross-check the engine.
@@ -25,7 +33,10 @@ kept slow and obvious, used to cross-check the engine.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -49,7 +60,10 @@ NOT_FOUND = "not_found"
 OBSTRUCTED = "obstructed"
 
 _PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
-_GOOD_LAST = (1, -1, 2, -2)
+_BLOCK_DEPTH = 4  # the last letters of every word are tested as one suffix block
+_GOOD_LAST = frozenset((1, -1, 2, -2))
+_HALF = 1 << 63
+_GOOD_FIELDS = frozenset(_HALF + t for t in _GOOD_LAST)
 _ALL_LETTERS = (0, 1, 2, 3)
 # Children of a node whose last letter is x: every letter except x's inverse,
 # in canonical order.
@@ -147,16 +161,60 @@ def _gamma_data(gen: GeneratorPair, v: Vector, letters: tuple[int, ...]):
     return gamma, mat_vec(gamma, v), solve_unimodular(gamma, v)
 
 
+def _count_extensions(last: int, remaining: int) -> int:
+    """Reduced words of length `remaining` that may follow the letter `last`
+    (-1 for the empty word)."""
+    return (3 if last >= 0 else 4) * 3 ** (remaining - 1)
+
+
+def _fields(values) -> int:
+    """sum_j (values[j] + 2^63) 2^(64 j) for values in [-2^63, 2^63)."""
+    return int.from_bytes(array("Q", [x + _HALF for x in values]).tobytes(), sys.byteorder)
+
+
+class _Block:
+    """The reduced suffixes s of one length that may follow one letter, in
+    lexicographic order, with w_s = L_s v.
+
+    With j the position of s, columns[i] = sum_s w_s[i] 2^(64 j).  If
+    max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field j of
+    sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no carry.
+    """
+
+    def __init__(self, suffixes, vectors):
+        self.suffixes = suffixes
+        self.vectors = vectors
+        self.l1 = max(sum(map(abs, w)) for w in vectors)
+        self.bias = _fields([0] * len(vectors))
+        self.columns = None  # too wide to pack: every row takes the plain test
+        if self.l1 < _HALF:
+            self.columns = tuple(_fields(c) - self.bias for c in zip(*vectors))
+
+    def candidates(self, row) -> list[int]:
+        """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending."""
+        if self.columns is not None and max(map(abs, row)) * self.l1 < _HALF:
+            packed = sum(map(operator.mul, row, self.columns), self.bias)
+            fields = memoryview(packed.to_bytes(8 * len(self.vectors), sys.byteorder))
+            if _GOOD_FIELDS.isdisjoint(fields.cast("Q")):
+                return []
+        return [
+            j for j, w in enumerate(self.vectors)
+            if sum(map(operator.mul, row, w)) in _GOOD_LAST
+        ]
+
+
 class _Engine:
-    """Shared state for one search: each letter's row plan and L v."""
+    """Shared state for one search: each letter's row plan, and the suffix
+    blocks, built on first use."""
 
     def __init__(self, gen: GeneratorPair, v: Vector):
-        mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
         self.gen = gen
         self.v = v
-        self.lv = tuple(mat_vec(m, v) for m in mats)
-        self.plans = tuple(_row_plan(m) for m in mats)
+        self.mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
+        self.plans = tuple(_row_plan(m) for m in self.mats)
         self.root = (0,) * (gen.degree - 1) + (1,)
+        self.levels = [(((),), (v,))]  # every reduced suffix of length k, with L_s v
+        self.blocks: dict[tuple[int, int], _Block] = {}  # by (length, previous letter)
 
     def _step(self, row, letter: int):
         return tuple([
@@ -164,24 +222,45 @@ class _Engine:
             for item in self.plans[letter]
         ])
 
+    def _level(self, k: int):
+        while len(self.levels) <= k:
+            pairs = [
+                ((y,) + s, mat_vec(self.mats[y], w))
+                for y in _ALL_LETTERS
+                for s, w in zip(*self.levels[-1])
+                if not s or s[0] != inverse_letter(y)
+            ]
+            self.levels.append(tuple(zip(*pairs)))
+        return self.levels[k]
+
+    def block(self, k: int, last: int) -> _Block:
+        key = (k, last)
+        if key not in self.blocks:
+            banned = inverse_letter(last) if last >= 0 else -1
+            self.blocks[key] = _Block(*zip(*(
+                (s, w) for s, w in zip(*self._level(k)) if s[0] != banned
+            )))
+        return self.blocks[key]
+
     def scan(self, row, last: int, remaining: int, path: list[int],
              hits: list[tuple[int, ...]], collect_all: bool) -> int:
         """Test every reduced extension of `path` (whose last row is `row`)
         by exactly `remaining` letters; append passing words to hits; return
         the number tested."""
-        allowed = _ALLOWED[last] if last >= 0 else _ALL_LETTERS
-        if remaining == 1:
-            for y in allowed:
-                if hits and not collect_all:
-                    break
-                if sum(a * b for a, b in zip(row, self.lv[y])) in _GOOD_LAST:
-                    word = tuple(path) + (y,)
-                    _, gv, giv = _gamma_data(self.gen, self.v, word)
-                    if linearly_independent((self.v, gv, giv)):
-                        hits.append(word)
-            return len(allowed)
+        if hits and not collect_all:
+            return _count_extensions(last, remaining)
+        if remaining <= _BLOCK_DEPTH:
+            block = self.block(remaining, last)
+            for j in block.candidates(row):
+                word = tuple(path) + block.suffixes[j]
+                _, gv, giv = _gamma_data(self.gen, self.v, word)
+                if linearly_independent((self.v, gv, giv)):
+                    hits.append(word)
+                    if not collect_all:
+                        break
+            return len(block.suffixes)
         count = 0
-        for y in allowed:
+        for y in _ALLOWED[last] if last >= 0 else _ALL_LETTERS:
             path.append(y)
             count += self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)
             path.pop()
@@ -225,10 +304,6 @@ def _worker_scan(args):
     return count, hits
 
 
-def _count_reduced_words(depth: int) -> int:
-    return 4 * 3 ** (depth - 1)
-
-
 def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Iterative-deepening search for the canonical witness of a pair.
 
@@ -254,7 +329,7 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
         )
     engine = _Engine(gen, v)
     workers = min(cfg.workers, os.cpu_count() or 1)
-    prefix_count = _count_reduced_words(_PIVOT_DEPTH)
+    prefix_count = _count_extensions(-1, _PIVOT_DEPTH)
     pool = None
     try:
         if workers > 1 and cfg.max_depth > _PIVOT_DEPTH:
@@ -264,7 +339,7 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
         nodes_total = 0
         per_depth: list[tuple[int, int]] = []
         for depth in range(1, cfg.max_depth + 1):
-            projected = _count_reduced_words(depth)
+            projected = _count_extensions(-1, depth)
             if cfg.node_budget is not None and nodes_total + projected > cfg.node_budget:
                 raise NodeBudgetExceeded(depth - 1, nodes_total)
             hits: list[tuple[int, ...]] = []

@@ -7,7 +7,8 @@ as "A^2BA^-2" and parses back to itself.  Parenthesized groups with
 exponents, as in "(A^2B)^-1", are also accepted on input so that witness
 words quoted from tables paste straight in.  Words that are not reduced
 are rejected rather than silently cancelled, and so is any text that
-would expand to more than MAX_WORD_LENGTH letters.
+would expand to more than MAX_WORD_LENGTH letters or nests groups deeper
+than MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ BASE_LETTER = ("A", "B", "A", "B")
 #: Longest word the parser expands; about 70 times the longest tabulated
 #: witness (14 letters).
 MAX_WORD_LENGTH = 1000
+#: Deepest nesting of parenthesized groups the parser accepts; the parser
+#: recurses once per level.
+MAX_NESTING = 50
 
 
 def inverse_letter(code: int) -> int:
@@ -82,7 +86,7 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        letters, pos = _parse_sequence(text, 0, top=True)
+        letters, pos = _parse_sequence(text, 0, depth=0)
         if pos != len(text):
             raise WordSyntaxError(f"unexpected {text[pos]!r} at position {pos}")
         if not letters:
@@ -126,16 +130,22 @@ def _too_long() -> WordSyntaxError:
     return WordSyntaxError(f"word longer than {MAX_WORD_LENGTH} letters")
 
 
-def _parse_sequence(text: str, pos: int, top: bool) -> tuple[list[int], int]:
+def _parse_sequence(text: str, pos: int, depth: int) -> tuple[list[int], int]:
+    """Parse letters and groups from pos up to an unmatched ')' or the end;
+    depth counts the groups that enclose pos."""
     letters: list[int] = []
     while pos < len(text):
         ch = text[pos]
         if ch == ")":
-            if top:
+            if depth == 0:
                 raise WordSyntaxError(f"unmatched ')' at position {pos}")
             return letters, pos
         if ch == "(":
-            inner, pos = _parse_sequence(text, pos + 1, top=False)
+            if depth == MAX_NESTING:
+                raise WordSyntaxError(
+                    f"groups nested deeper than {MAX_NESTING} at position {pos}"
+                )
+            inner, pos = _parse_sequence(text, pos + 1, depth + 1)
             if pos >= len(text) or text[pos] != ")":
                 raise WordSyntaxError("unmatched '('")
             if not inner:

@@ -1,9 +1,11 @@
 """Command line interface, driven through main(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hgsp import cyclotomic
 from hgsp.cli import CSV_COLUMNS, main
 from hgsp.cyclotomic import CycloFactorization
 
@@ -282,11 +284,26 @@ def test_verify_word_with_parentheses(capsys):
 
 def test_verify_malformed_word_is_usage_error(capsys):
     for word, message in (("A^", "missing exponent digits"),
-                          ("A^10000000000", "word longer than 1000 letters")):
+                          ("A^10000000000", "word longer than 1000 letters"),
+                          ("(" * 3000 + "A" + ")" * 3000, "nested deeper than 50")):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--f", "1^6", "--g", "3^2,6", "--word", word])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def test_exponent_parameters_are_usage_error(monkeypatch, capsys):
+    # Fraction("1e-100000000") would build 10^(10^8) before any range check
+    def plain_fraction(*args):
+        assert "e" not in str(args[0])
+        return Fraction(*args)
+
+    monkeypatch.setattr(cyclotomic, "Fraction", plain_fraction)
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--alpha", "0,0,0,0,0,0", "--beta", "1e-100000000"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert "exponent notation is not accepted" in lines[-1]
 
 
 def _refuse(*args, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hgsp import cyclotomic
 from hgsp.cyclotomic import (
     CycloFactorization,
     NotCyclotomicProduct,
@@ -218,6 +219,21 @@ def test_parse_parameters_sorted_and_validated():
         parse_parameters("1/0")
     with pytest.raises(ValueError):
         parse_parameters("")
+
+
+def test_parse_parameters_refuses_exponent_notation(monkeypatch):
+    # refused before Fraction sees the text: Fraction("1e-100000000")
+    # would build 10^(10^8)
+    def plain_fraction(*args):
+        assert not (isinstance(args[0], str) and "e" in args[0].lower())
+        return Fraction(*args)
+
+    monkeypatch.setattr(cyclotomic, "Fraction", plain_fraction)
+    for text in ("1e-3", "0,5E-1", "2.5e0", "1e-100000000", " 1E+2 "):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_parameters(text)
+    assert parse_parameters(" 1/2 , 0,-3/4") == (Fraction(-3, 4), Fraction(0), Fraction(1, 2))
+    assert parse_parameters("0.5") == (Fraction(1, 2),)
 
 
 @given(

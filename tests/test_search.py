@@ -1,8 +1,11 @@
 """Witness search engine: outcomes, node counts, workers, reference parity."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgsp import search
 from hgsp.certify import verify_witness
@@ -11,16 +14,18 @@ from hgsp.hgroup import build_generators, transvection_vector
 from hgsp.linalg import mat_vec, unimodular_inverse
 from hgsp.pairs import enumerate_qualified_pairs
 from hgsp.search import (
+    _BLOCK_DEPTH,
     FOUND,
     NOT_FOUND,
     OBSTRUCTED,
     NodeBudgetExceeded,
     SearchConfig,
+    _Engine,
     gcd_obstruction,
     reference_search,
     search_witness,
 )
-from hgsp.words import Word, evaluate_word
+from hgsp.words import Word, evaluate_word, inverse_letter
 
 from oracles import canonical_search
 
@@ -244,12 +249,136 @@ def test_engine_matches_canonical_oracle(oracle_cases):
     assert any(len(hits) > 1 for _, (_, _, hits) in oracle_cases)
 
 
-def test_worker_pool_matches_canonical_oracle(oracle_cases):
-    # depth 5 is past the pivot depth, so two workers split that level
-    pair, (word, per_depth, hits) = next(
+@pytest.fixture(scope="module")
+def deep_oracle_cases(oracle_cases):
+    """Two classes of the sample with the oracle's answer to depth 6: one
+    whose witnesses have length 6 and one with none."""
+    by_id = {pair.pair_id: pair for pair, _ in oracle_cases}
+    return [
+        (by_id[pair_id], canonical_search(by_id[pair_id], 6))
+        for pair_id in ("1^2,6|4^2", "3^3|14")
+    ]
+
+
+def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
+    # a length-6 word is a 2-letter prefix over a 4-letter suffix block
+    (_, found), (_, missing) = deep_oracle_cases
+    assert len(found[0]) == 6 and len(found[2]) > 1
+    assert missing[0] is None
+    for pair, (word, per_depth, hits) in deep_oracle_cases:
+        first = search_witness(pair, SearchConfig(max_depth=6))
+        every = search_witness(pair, SearchConfig(max_depth=6, all_at_min_depth=True))
+        for out in (first, every):
+            assert out.word == word, pair.pair_id
+            assert out.nodes_per_depth == per_depth, pair.pair_id
+        assert (every.words_at_depth or ()) == hits, pair.pair_id
+
+
+def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
+    # depths 5 and 6 are past the pivot depth, so two workers split those
+    # levels: at depth 6 each worker's 4-letter prefix meets a 2-letter block
+    shallow = next(
         case for case in oracle_cases if case[1][0] is None or len(case[1][0]) == 5
     )
-    out = search_witness(pair, SearchConfig(max_depth=5, workers=2, all_at_min_depth=True))
-    assert out.word == word
-    assert out.nodes_per_depth == per_depth
-    assert (out.words_at_depth or ()) == hits
+    for depth, (pair, (word, per_depth, hits)) in (
+        (5, shallow), (6, deep_oracle_cases[0]), (6, deep_oracle_cases[1]),
+    ):
+        out = search_witness(
+            pair, SearchConfig(max_depth=depth, workers=2, all_at_min_depth=True)
+        )
+        assert out.word == word
+        assert out.nodes_per_depth == per_depth
+        assert (out.words_at_depth or ()) == hits
+
+
+# -- suffix blocks ---------------------------------------------------------------
+
+
+def _block_engines():
+    degree8 = next(p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3)
+    engines = []
+    for pair in (table_pair(22), table_pair(2), degree8):
+        gen = build_generators(pair)
+        engines.append((gen, _Engine(gen, transvection_vector(gen))))
+    return engines
+
+
+BLOCK_ENGINES = _block_engines()
+BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in (-1, 0, 1, 2, 3)]
+
+
+def test_blocks_hold_the_reduced_suffixes_in_order():
+    for gen, engine in BLOCK_ENGINES:
+        for k, last in BLOCK_KEYS:
+            block = engine.block(k, last)
+            suffixes = [
+                s for s in product(range(4), repeat=k)  # lexicographic
+                if all(y != inverse_letter(x) for x, y in zip((last,) + s, s))
+            ]
+            assert list(block.suffixes) == suffixes, (k, last)
+            assert list(block.vectors) == [
+                mat_vec(evaluate_word(Word(s), gen), engine.v) for s in suffixes
+            ], (k, last)
+
+
+def _bezout(w):
+    """(g, c) with c . w = g = gcd of the entries of w."""
+    g, coeffs = 0, [0] * len(w)
+    for i, x in enumerate(w):
+        a, b, x0, x1, y0, y1 = g, x, 1, 0, 0, 1
+        while b:
+            q, a, b = a // b, b, a % b
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        if a < 0:
+            a, x0, y0 = -a, -x0, -y0
+        coeffs = [x0 * c for c in coeffs]
+        coeffs[i] = y0
+        g = a
+    return g, coeffs
+
+
+@st.composite
+def block_rows(draw, kind):
+    """A block and a row.  "hit": small entries moved so r . w_j = t for a
+    drawn suffix j and target t; "wide": entries of up to 80 bits, so most
+    rows break the 2^63 / l1 bound, moved the same way half the time;
+    "edge": one entry just under, at or over 2^63 / l1."""
+    _, engine = draw(st.sampled_from(BLOCK_ENGINES))
+    block = engine.block(*draw(st.sampled_from(BLOCK_KEYS)))
+    scale = 1 << draw(st.sampled_from((12, 24, 40, 52, 60, 64, 72))) if kind == "wide" else 1
+    row = [scale * x for x in draw(st.lists(
+        st.integers(-255, 255), min_size=len(engine.v), max_size=len(engine.v)))]
+    if kind == "edge":
+        sign = draw(st.sampled_from((1, -1)))
+        row[draw(st.integers(0, len(row) - 1))] = sign * (
+            2 ** 63 // block.l1 + draw(st.sampled_from((-1, 0, 1))))
+    elif kind == "hit" or draw(st.booleans()):
+        w = block.vectors[draw(st.integers(0, len(block.vectors) - 1))]
+        target = draw(st.sampled_from((1, -1, 2, -2)))
+        g, coeffs = _bezout(w)
+        if target % g == 0:
+            shift = (target - sum(a * b for a, b in zip(row, w))) // g
+            row = [r + shift * c for r, c in zip(row, coeffs)]
+    return block, tuple(row)
+
+
+@pytest.mark.parametrize("kind", ["hit", "wide", "edge"])
+@given(data=st.data())
+def test_packed_block_test_matches_plain_dot_products(kind, data):
+    block, row = data.draw(block_rows(kind))
+    plain = [
+        j for j, w in enumerate(block.vectors)
+        if sum(a * b for a, b in zip(row, w)) in (1, -1, 2, -2)
+    ]
+    assert block.candidates(row) == plain
+
+
+def test_packed_block_test_finds_a_witness_under_the_bound():
+    # row 22's witness AB^4A: the prefix AB leaves the suffix B^3A, and the
+    # prefix row is small enough for the packed test
+    gen, engine = BLOCK_ENGINES[0]
+    row = engine._step(engine._step(engine.root, 0), 1)
+    block = engine.block(4, 1)
+    assert max(map(abs, row)) * block.l1 < 2 ** 63
+    assert block.suffixes[block.candidates(row)[0]] == (1, 1, 1, 0)

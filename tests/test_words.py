@@ -12,6 +12,7 @@ from hgsp.words import (
     A_INV,
     B,
     B_INV,
+    MAX_NESTING,
     MAX_WORD_LENGTH,
     NotReducedError,
     Word,
@@ -74,6 +75,10 @@ def test_parse_rejects_syntax_errors():
     for bad in too_long:
         with pytest.raises(WordSyntaxError, match="longer than 1000 letters"):
             Word.parse(bad)
+    # nested deeper than MAX_NESTING, refused before the parser recurses further
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(WordSyntaxError, match="nested deeper than 50"):
+            Word.parse("(" * depth + "A" + ")" * depth)
 
 
 def test_parse_accepts_words_up_to_the_length_limit():
@@ -82,6 +87,8 @@ def test_parse_accepts_words_up_to_the_length_limit():
     assert len(Word.parse("(AB)^500")) == 1000
     assert len(Word.parse("A^999B")) == 1000
     assert Word.parse("A^0002") == Word.parse("A^2")
+    assert MAX_NESTING == 50
+    assert Word.parse("(" * 50 + "A" + ")" * 50) == Word.parse("A")
 
 
 def test_parse_rejects_unreduced():
