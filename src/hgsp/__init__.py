@@ -42,7 +42,6 @@ from .search import (
     SearchConfig,
     SearchOutcome,
     gcd_obstruction,
-    reference_search,
     search_witness,
 )
 from .words import Word, WordSyntaxError, evaluate_word
@@ -78,7 +77,6 @@ __all__ = [
     "invariant_symplectic_form",
     "make_pair",
     "parse_parameters",
-    "reference_search",
     "search_witness",
     "transvection_vector",
     "verify_witness",

@@ -6,21 +6,23 @@ skip a pair when the cache already contains a result that settles it at
 the requested depth: a found witness settles every depth, a completed
 unsuccessful search settles any depth up to the one recorded.
 
-Writes go through a temp file in the same directory followed by
-os.replace, so a crash mid-write never corrupts the existing file.
+The file is append-only.  ``store`` appends the record and ``discard``
+appends a tombstone ``{"pair_id": P, "discard": true}``, each as one write
+to the file opened with O_APPEND, so processes sharing a file lose no
+lines.  Loading replays the lines in order: each record goes through the
+keep-better merge and each tombstone drops the pair's record so far.  A
+damaged line is skipped, so a torn last line costs only its own record;
+an append after it starts with a newline.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
-
-from . import __version__
 
 ENV_VAR = "HGSP_CACHE"
 DEFAULT_FILENAME = "hgsp-cache.jsonl"
@@ -44,7 +46,6 @@ class CacheRecord:
     gcd: Optional[int]
     nodes: Optional[int]
     created_at: str
-    tool_version: str
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -61,7 +62,6 @@ class CacheRecord:
             gcd=data.get("gcd"),
             nodes=data.get("nodes"),
             created_at=data.get("created_at", ""),
-            tool_version=data.get("tool_version", ""),
         )
 
     def settles(self, max_depth: int) -> bool:
@@ -74,7 +74,7 @@ class CacheRecord:
 
 
 class ResultCache:
-    """All records live in memory; the file is rewritten atomically."""
+    """All records live in memory; the file only grows."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -90,11 +90,14 @@ class ResultCache:
                 if not line:
                     continue
                 try:
-                    record = CacheRecord.from_json(json.loads(line))
-                except (ValueError, KeyError, TypeError):
+                    data = json.loads(line)
+                    if data.get("discard"):
+                        self._records.pop(data["pair_id"], None)
+                    else:
+                        self._keep_better(CacheRecord.from_json(data))
+                except (ValueError, KeyError, TypeError, AttributeError):
                     # a damaged line costs a recomputation, nothing more
                     continue
-                self._keep_better(record)
 
     def _keep_better(self, record: CacheRecord) -> None:
         old = self._records.get(record.pair_id)
@@ -115,32 +118,24 @@ class ResultCache:
 
     def store(self, record: CacheRecord) -> None:
         self._keep_better(record)
-        self._flush()
+        self._append(record.to_json())
 
     def discard(self, pair_id: str) -> None:
         """Drop the record for a pair, on disk too."""
-        if self._records.pop(pair_id, None) is not None:
-            self._flush()
+        self._records.pop(pair_id, None)
+        self._append({"pair_id": pair_id, "discard": True})
 
-    def _flush(self) -> None:
+    def _append(self, data: dict) -> None:
+        line = json.dumps(data).encode() + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for pair_id in sorted(self._records):
-                    handle.write(json.dumps(self._records[pair_id].to_json()) + "\n")
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        return len(self._records)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line  # end a torn last line first
+            os.write(fd, line)
+        finally:
+            os.close(fd)
 
 
 def record_for(pair, classification, nodes: Optional[int] = None) -> CacheRecord:
@@ -155,5 +150,4 @@ def record_for(pair, classification, nodes: Optional[int] = None) -> CacheRecord
         gcd=classification.gcd,
         nodes=nodes,
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        tool_version=__version__,
     )

@@ -368,7 +368,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     try:
         word = Word.parse(args.word)
     except (WordSyntaxError, NotReducedError) as exc:
-        parser.error(f"bad word {args.word!r}: {exc}")
+        shown = repr(args.word[:40]) + ("..." if len(args.word) > 40 else "")
+        parser.error(f"bad word {shown}: {exc}")
     report = verify_witness(pair, word)
     if args.json:
         print(json.dumps(report.to_json()))

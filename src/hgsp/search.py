@@ -25,9 +25,6 @@ plain dot products.  Only a word whose last entry passes is multiplied out
 in full, for the unimodular solve and the independence test.  With
 workers, each level deeper than 4 is split over the 108 reduced words of
 length 4.
-
-``reference_search`` is a deliberately plain recursive first-hit searcher,
-kept slow and obvious, used to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -45,12 +42,9 @@ from .hgroup import GeneratorPair, build_generators, transvection_vector
 from .linalg import (
     Matrix,
     Vector,
-    identity_matrix,
     linearly_independent,
-    mat_mul,
     mat_vec,
     solve_unimodular,
-    unimodular_inverse,
 )
 from .pairs import QualifiedPair
 from .words import LETTER_NAMES, Word, evaluate_word, inverse_letter
@@ -379,55 +373,3 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
         if pool is not None:
             pool.shutdown()
 
-
-# -- reference implementation -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReferenceResult:
-    found: bool
-    word: Optional[Word]
-    nodes: int
-
-
-def reference_search(pair: QualifiedPair, max_depth: int) -> ReferenceResult:
-    """First-hit recursive search, as plain as possible.
-
-    Checks each node before its children (the empty word included), walks
-    children in canonical order skipping only the letter that would cancel,
-    multiplies complete matrices at every step and inverts with the generic
-    routine.  Stops at the first passing word in preorder, which need not be
-    the canonical witness; use it to cross-check existence and depth bounds.
-    """
-    gen = build_generators(pair)
-    v = transvection_vector(gen)
-    n = gen.degree
-    counter = [0]
-
-    def passes(m: Matrix) -> bool:
-        counter[0] += 1
-        mv = mat_vec(m, v)
-        if mv[n - 1] not in _GOOD_LAST:
-            return False
-        miv = mat_vec(unimodular_inverse(m), v)
-        return linearly_independent((miv, v, mv))
-
-    def walk(m: Matrix, path: list[int], last: Optional[int]):
-        if passes(m):
-            return tuple(path)
-        if len(path) == max_depth:
-            return None
-        for y in _ALL_LETTERS:
-            if last is not None and y == inverse_letter(last):
-                continue
-            path.append(y)
-            hit = walk(mat_mul(m, gen.letter_matrix(y)), path, y)
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
-
-    hit = walk(identity_matrix(n), [], None)
-    if hit is None:
-        return ReferenceResult(found=False, word=None, nodes=counter[0])
-    return ReferenceResult(found=True, word=Word(hit), nodes=counter[0])

@@ -11,7 +11,9 @@ Krylov solve does not compute.
 ``canonical_search`` does the same for the witness engine
 (``hgsp.search.search_witness``): it lists the reduced words level by level
 in canonical order and tests each one on its full matrix product, with the
-generic inverse.
+generic inverse.  ``reference_search`` is a plain recursive first-hit
+searcher on full matrix products, used to cross-check existence and
+depth bounds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hgsp.hgroup import GeneratorPair, build_generators, transvection_vector
@@ -26,7 +29,9 @@ from hgsp.linalg import (
     Matrix,
     Vector,
     _bareiss_echelon,
+    identity_matrix,
     linearly_independent,
+    mat_mul,
     mat_vec,
     unimodular_inverse,
 )
@@ -207,3 +212,53 @@ def canonical_search(
         if hits:
             return hits[0], tuple(per_depth), tuple(hits)
     return None, tuple(per_depth), ()
+
+
+@dataclass(frozen=True)
+class ReferenceResult:
+    found: bool
+    word: Optional[Word]
+    nodes: int
+
+
+def reference_search(pair: QualifiedPair, max_depth: int) -> ReferenceResult:
+    """First-hit recursive search, as plain as possible.
+
+    Checks each node before its children (the empty word included), walks
+    children in canonical order skipping only the letter that would cancel,
+    multiplies complete matrices at every step and inverts with the generic
+    routine.  Stops at the first passing word in preorder, which need not be
+    the canonical witness; use it to cross-check existence and depth bounds.
+    """
+    gen = build_generators(pair)
+    v = transvection_vector(gen)
+    n = gen.degree
+    counter = [0]
+
+    def passes(m: Matrix) -> bool:
+        counter[0] += 1
+        mv = mat_vec(m, v)
+        if mv[n - 1] not in (1, -1, 2, -2):
+            return False
+        miv = mat_vec(unimodular_inverse(m), v)
+        return linearly_independent((miv, v, mv))
+
+    def walk(m: Matrix, path: list[int], last: Optional[int]):
+        if passes(m):
+            return tuple(path)
+        if len(path) == max_depth:
+            return None
+        for y in range(4):
+            if last is not None and y == inverse_letter(last):
+                continue
+            path.append(y)
+            hit = walk(mat_mul(m, gen.letter_matrix(y)), path, y)
+            if hit is not None:
+                return hit
+            path.pop()
+        return None
+
+    hit = walk(identity_matrix(n), [], None)
+    if hit is None:
+        return ReferenceResult(found=False, word=None, nodes=counter[0])
+    return ReferenceResult(found=True, word=Word(hit), nodes=counter[0])

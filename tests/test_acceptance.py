@@ -28,9 +28,9 @@ from hgsp.fixtures import (
 from hgsp.hgroup import build_generators, invariant_symplectic_form, transvection_vector
 from hgsp.linalg import determinant, mat_mul, mat_vec, transpose, unimodular_inverse
 from hgsp.pairs import canonical_representative, enumerate_qualified_pairs
-from hgsp.search import SearchConfig, gcd_obstruction, reference_search, search_witness
+from hgsp.search import SearchConfig, gcd_obstruction, search_witness
 from hgsp.words import Word
-from oracles import invariant_alternating_space, symmetric_invariant_dimension
+from oracles import invariant_alternating_space, reference_search, symmetric_invariant_dimension
 
 log = logging.getLogger("acceptance")
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hgsp import cyclotomic
+from hgsp.cache import ResultCache
 from hgsp.cli import CSV_COLUMNS, main
 from hgsp.cyclotomic import CycloFactorization
 
@@ -221,8 +222,9 @@ def test_search_cache_does_not_serve_stale_witness(tmp_path, capsys):
         assert rc == 0
         blob = json.loads(out)
         assert blob["cached"] is True and blob["kind"] == "unknown"
-        (line,) = cache.read_text().splitlines()
-        assert json.loads(line)["kind"] == "unknown"
+        last = json.loads(cache.read_text().splitlines()[-1])
+        assert last["kind"] == "unknown" and last["searched_depth"] == 2
+        assert ResultCache(cache).lookup("1^6|3,6^2", 2).to_json() == last
 
 
 def test_search_cache_serves_true_obstruction(tmp_path, capsys):
@@ -289,7 +291,10 @@ def test_verify_malformed_word_is_usage_error(capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--f", "1^6", "--g", "3^2,6", "--word", word])
         assert err.value.code == 2
-        assert message in capsys.readouterr().err
+        # the argparse usage line, then one bounded error line
+        usage, line = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage:")
+        assert len(line) <= 200 and message in line
 
 
 def test_exponent_parameters_are_usage_error(monkeypatch, capsys):

@@ -22,12 +22,11 @@ from hgsp.search import (
     SearchConfig,
     _Engine,
     gcd_obstruction,
-    reference_search,
     search_witness,
 )
 from hgsp.words import Word, evaluate_word, inverse_letter
 
-from oracles import canonical_search
+from oracles import canonical_search, reference_search
 
 
 def table_pair(number):
