@@ -11,8 +11,8 @@ appends a tombstone ``{"pair_id": P, "discard": true}``, each as one write
 to the file opened with O_APPEND, so processes sharing a file lose no
 lines.  Loading replays the lines in order: each record goes through the
 keep-better merge and each tombstone drops the pair's record so far.  A
-damaged line is skipped, so a torn last line costs only its own record;
-an append after it starts with a newline.
+damaged line, such as one that is not UTF-8, is skipped, so a torn last
+line costs only its own record; an append after it starts with a newline.
 """
 
 from __future__ import annotations
@@ -84,13 +84,13 @@ class ResultCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as handle:
+        with open(self.path, "rb") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
+                    data = json.loads(line)  # bytes that do not decode raise ValueError
                     if data.get("discard"):
                         self._records.pop(data["pair_id"], None)
                     else:

@@ -3,11 +3,12 @@
 A word gamma passes the candidate check when the last entry of gamma(v)
 is one of +-1, +-2 and {v, gamma(v), gamma^-1(v)} is linearly independent;
 such a gamma certifies arithmeticity.  The engine below runs iterative
-deepening with every level enumerated in full, in lexicographic letter
-order A < B < A^-1 < B^-1, so the reported witness is the shortest passing
-word and lexicographically least among those of that length, the per-depth
-node counts are the exact reduced-word counts 4 * 3^(d-1), and the result
-is identical no matter how many worker processes share the tree.
+deepening and settles every level in full, in lexicographic letter order
+A < B < A^-1 < B^-1, so the reported witness is the shortest passing word
+and lexicographically least among those of that length, the per-depth
+node counts are the exact reduced-word counts 4 * 3^(d-1) (words settled,
+not words tested; see below), and the result is identical no matter how
+many worker processes share the tree.
 
 Everything here is exact integer arithmetic.  The last entry of gamma(v)
 is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
@@ -21,10 +22,22 @@ the packed coordinates gives every r . w_s at once, and is used only when
 max|r_i| * max_s |w_s|_1 < 2^63, which keeps each r . w_s + 2^63 inside
 its unsigned 64-bit field.  When no field holds +-1 or +-2 the block has
 no hit; otherwise, or when the bound fails, the block is walked with
-plain dot products.  Only a word whose last entry passes is multiplied out
-in full, for the unimodular solve and the independence test.  With
-workers, each level deeper than 4 is split over the 108 reduced words of
-length 4.
+plain dot products.  A word whose last entry passes is confirmed with 2k
+matrix-vector products, gamma(v) from its last letter back and
+gamma^-1(v) from its first letter on, and the independence test.
+
+Pruning rule: no tested word ends in B or starts with B^-1.  Proof:
+T = A^-1 B fixes e_1 .. e_{n-1} and Tv = v (v_n = 0 as f and g are
+monic), so gamma, gamma T and T gamma share the last entry and the span
+{v, gamma(v), gamma^-1(v)}; as B = AT and B^-1 = T^-1 A^-1, uB passes iff
+uA does and B^-1 u iff A^-1 u, and the A-version comes first in the
+order or reduces to a word two letters shorter.  So no block holds a
+suffix ending in B, the root skips B^-1, and with workers each level
+deeper than 4 is split over the 81 reduced words of length 4 that do
+not start with B^-1.  With all_at_min_depth the passing words found are
+closed under both swaps (a final A becomes B, a first A^-1 becomes B^-1);
+at the minimal depth every swapped word is reduced, since otherwise a
+word two letters shorter would pass.
 """
 
 from __future__ import annotations
@@ -39,15 +52,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
-from .linalg import (
-    Matrix,
-    Vector,
-    linearly_independent,
-    mat_vec,
-    solve_unimodular,
-)
+from .linalg import Matrix, Vector, linearly_independent, mat_vec
 from .pairs import QualifiedPair
-from .words import LETTER_NAMES, Word, evaluate_word, inverse_letter
+from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, evaluate_word, inverse_letter
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -64,6 +71,8 @@ _ALL_LETTERS = (0, 1, 2, 3)
 _ALLOWED = tuple(
     tuple(y for y in _ALL_LETTERS if y != inverse_letter(x)) for x in _ALL_LETTERS
 )
+# The root is scanned as if it followed a B: neither is followed by B^-1.
+_ROOT_LAST = B
 
 
 @dataclass(frozen=True)
@@ -149,16 +158,24 @@ def _row_plan(mat: Matrix):
     return tuple(plan)
 
 
-def _gamma_data(gen: GeneratorPair, v: Vector, letters: tuple[int, ...]):
-    """gamma for the word, with gamma(v) and gamma^-1(v)."""
-    gamma = evaluate_word(Word(letters), gen)
-    return gamma, mat_vec(gamma, v), solve_unimodular(gamma, v)
+def _images(mats, v: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
+    """gamma(v) and gamma^-1(v) for the word, one letter matrix at a time."""
+    gv = giv = v
+    for y in reversed(letters):
+        gv = mat_vec(mats[y], gv)
+    for y in letters:
+        giv = mat_vec(mats[inverse_letter(y)], giv)
+    return gv, giv
 
 
-def _count_extensions(last: int, remaining: int) -> int:
-    """Reduced words of length `remaining` that may follow the letter `last`
-    (-1 for the empty word)."""
-    return (3 if last >= 0 else 4) * 3 ** (remaining - 1)
+def _close_hits(hits) -> list[tuple[int, ...]]:
+    """Every passing word of the minimal length, in canonical order, from the
+    passing words tested: a final A may become B and a first A^-1 may
+    become B^-1."""
+    words = set(hits)
+    words |= {w[:-1] + (B,) for w in words if w[-1] == A}
+    words |= {(B_INV,) + w[1:] for w in words if w[0] == A_INV}
+    return sorted(words)
 
 
 def _fields(values) -> int:
@@ -167,8 +184,8 @@ def _fields(values) -> int:
 
 
 class _Block:
-    """The reduced suffixes s of one length that may follow one letter, in
-    lexicographic order, with w_s = L_s v.
+    """The reduced suffixes s of one length that may follow one letter and
+    do not end in B, in lexicographic order, with w_s = L_s v.
 
     With j the position of s, columns[i] = sum_s w_s[i] 2^(64 j).  If
     max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field j of
@@ -202,12 +219,12 @@ class _Engine:
     blocks, built on first use."""
 
     def __init__(self, gen: GeneratorPair, v: Vector):
-        self.gen = gen
         self.v = v
         self.mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
         self.plans = tuple(_row_plan(m) for m in self.mats)
         self.root = (0,) * (gen.degree - 1) + (1,)
-        self.levels = [(((),), (v,))]  # every reduced suffix of length k, with L_s v
+        # every reduced suffix of length k that does not end in B, with L_s v
+        self.levels = [(((),), (v,))]
         self.blocks: dict[tuple[int, int], _Block] = {}  # by (length, previous letter)
 
     def _step(self, row, letter: int):
@@ -222,7 +239,7 @@ class _Engine:
                 ((y,) + s, mat_vec(self.mats[y], w))
                 for y in _ALL_LETTERS
                 for s, w in zip(*self.levels[-1])
-                if not s or s[0] != inverse_letter(y)
+                if (s[0] != inverse_letter(y) if s else y != B)
             ]
             self.levels.append(tuple(zip(*pairs)))
         return self.levels[k]
@@ -230,51 +247,48 @@ class _Engine:
     def block(self, k: int, last: int) -> _Block:
         key = (k, last)
         if key not in self.blocks:
-            banned = inverse_letter(last) if last >= 0 else -1
+            banned = inverse_letter(last)
             self.blocks[key] = _Block(*zip(*(
                 (s, w) for s, w in zip(*self._level(k)) if s[0] != banned
             )))
         return self.blocks[key]
 
     def scan(self, row, last: int, remaining: int, path: list[int],
-             hits: list[tuple[int, ...]], collect_all: bool) -> int:
-        """Test every reduced extension of `path` (whose last row is `row`)
-        by exactly `remaining` letters; append passing words to hits; return
-        the number tested."""
+             hits: list[tuple[int, ...]], collect_all: bool) -> None:
+        """Test every extension of `path` (whose last row is `row`) by exactly
+        `remaining` letters that does not end in B; append passing words to
+        hits."""
         if hits and not collect_all:
-            return _count_extensions(last, remaining)
+            return
         if remaining <= _BLOCK_DEPTH:
             block = self.block(remaining, last)
             for j in block.candidates(row):
                 word = tuple(path) + block.suffixes[j]
-                _, gv, giv = _gamma_data(self.gen, self.v, word)
-                if linearly_independent((self.v, gv, giv)):
+                if linearly_independent((self.v, *_images(self.mats, self.v, word))):
                     hits.append(word)
                     if not collect_all:
                         break
-            return len(block.suffixes)
-        count = 0
-        for y in _ALLOWED[last] if last >= 0 else _ALL_LETTERS:
+            return
+        for y in _ALLOWED[last]:
             path.append(y)
-            count += self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)
+            self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)
             path.pop()
-        return count
 
     def prefixes(self, depth: int):
-        """All reduced words of the given length with their last rows, in
-        lexicographic order."""
+        """The reduced words of the given length that do not start with B^-1,
+        with their last rows, in lexicographic order."""
         out = []
 
         def rec(row, last, remaining, path):
             if remaining == 0:
                 out.append((tuple(path), last, row))
                 return
-            for y in (_ALLOWED[last] if last >= 0 else _ALL_LETTERS):
+            for y in _ALLOWED[last]:
                 path.append(y)
                 rec(self._step(row, y), y, remaining - 1, path)
                 path.pop()
 
-        rec(self.root, -1, depth, [])
+        rec(self.root, _ROOT_LAST, depth, [])
         return out
 
 
@@ -293,9 +307,8 @@ def _worker_scan(args):
     index, depth, collect_all = args
     letters, last, row = _WORKER_PREFIXES[index]
     hits: list[tuple[int, ...]] = []
-    count = _WORKER_ENGINE.scan(row, last, depth - _PIVOT_DEPTH,
-                                list(letters), hits, collect_all)
-    return count, hits
+    _WORKER_ENGINE.scan(row, last, depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
+    return hits
 
 
 def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -323,44 +336,44 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
         )
     engine = _Engine(gen, v)
     workers = min(cfg.workers, os.cpu_count() or 1)
-    prefix_count = _count_extensions(-1, _PIVOT_DEPTH)
     pool = None
     try:
         if workers > 1 and cfg.max_depth > _PIVOT_DEPTH:
             pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(gen, v),
             )
+            prefix_count = 3 ** _PIVOT_DEPTH  # the prefixes not starting with B^-1
         nodes_total = 0
         per_depth: list[tuple[int, int]] = []
         for depth in range(1, cfg.max_depth + 1):
-            projected = _count_extensions(-1, depth)
-            if cfg.node_budget is not None and nodes_total + projected > cfg.node_budget:
+            count = 4 * 3 ** (depth - 1)  # the level settles every reduced word
+            if cfg.node_budget is not None and nodes_total + count > cfg.node_budget:
                 raise NodeBudgetExceeded(depth - 1, nodes_total)
             hits: list[tuple[int, ...]] = []
             if pool is not None and depth > _PIVOT_DEPTH:
-                count = 0
                 tasks = ((i, depth, cfg.all_at_min_depth) for i in range(prefix_count))
                 chunk = max(1, prefix_count // (4 * workers))
-                for sub_count, sub_hits in pool.map(_worker_scan, tasks, chunksize=chunk):
-                    count += sub_count
+                for sub_hits in pool.map(_worker_scan, tasks, chunksize=chunk):
                     hits.extend(sub_hits)
             else:
-                count = engine.scan(engine.root, -1, depth, [], hits, cfg.all_at_min_depth)
+                engine.scan(engine.root, _ROOT_LAST, depth, [], hits, cfg.all_at_min_depth)
             nodes_total += count
             per_depth.append((depth, count))
             if hits:
-                matrix, gamma_v, gamma_inv_v = _gamma_data(gen, v, hits[0])
+                word = Word(hits[0])
+                gamma_v, gamma_inv_v = _images(engine.mats, v, hits[0])
                 return SearchOutcome(
                     status=FOUND,
                     max_depth=cfg.max_depth,
                     nodes_visited=nodes_total,
                     nodes_per_depth=tuple(per_depth),
-                    word=Word(hits[0]),
-                    matrix=matrix,
+                    word=word,
+                    matrix=evaluate_word(word, gen),
                     gamma_v=gamma_v,
                     gamma_inv_v=gamma_inv_v,
                     words_at_depth=(
-                        tuple(Word(h) for h in hits) if cfg.all_at_min_depth else None
+                        tuple(Word(h) for h in _close_hits(hits))
+                        if cfg.all_at_min_depth else None
                     ),
                 )
         return SearchOutcome(

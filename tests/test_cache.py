@@ -176,6 +176,16 @@ def test_corrupt_lines_are_ignored(tmp_path):
     assert cache.lookup(good.pair_id, max_depth=1) == good
 
 
+def test_lines_that_are_not_utf8_are_ignored(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = record(kind="obstructed", gcd=4)
+    path.write_bytes(b"\xff\xfe\n" + json.dumps(good.to_json()).encode()
+                     + b"\n\x80{\"pair_id\": \"x|y\"}\n")
+    cache = ResultCache(path)
+    assert cache.lookup(good.pair_id, max_depth=1) == good
+    assert cache.lookup("x|y", max_depth=1) is None
+
+
 def test_default_cache_path_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv(ENV_VAR, str(tmp_path / "elsewhere.jsonl"))
     assert default_cache_path() == tmp_path / "elsewhere.jsonl"

@@ -227,6 +227,18 @@ def test_search_cache_does_not_serve_stale_witness(tmp_path, capsys):
         assert ResultCache(cache).lookup("1^6|3,6^2", 2).to_json() == last
 
 
+def test_search_cache_skips_a_line_that_is_not_utf8(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(b"\xff\xfe")
+    argv = ["search", "--f", "1^6", "--g", "3,6^2",
+            "--max-depth", "3", "--cache", str(cache)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["word"] == "B^2A"
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["cached"] is True
+
+
 def test_search_cache_serves_true_obstruction(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     argv = ["search", "--f", "1^6", "--g", "2^6",

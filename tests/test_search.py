@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hgsp import search
@@ -24,7 +24,7 @@ from hgsp.search import (
     gcd_obstruction,
     search_witness,
 )
-from hgsp.words import Word, evaluate_word, inverse_letter
+from hgsp.words import A, A_INV, B, B_INV, Word, evaluate_word, inverse_letter
 
 from oracles import canonical_search, reference_search
 
@@ -150,20 +150,27 @@ def test_budget_large_enough_is_harmless():
     assert out.status == FOUND
 
 
+def _reduced(letters):
+    return all(y != inverse_letter(x) for x, y in zip(letters, letters[1:]))
+
+
 def test_all_at_min_depth_collects_every_witness():
+    # the engine tests only B^2A and A^-1B^-2 of these: B^3 (the tabulated
+    # witness) and B^-3 come back through the swaps of a final A for B and a
+    # first A^-1 for B^-1
     pair = table_pair(20)
     out = search_witness(
         pair, SearchConfig(max_depth=3, all_at_min_depth=True)
     )
     assert out.status == FOUND
-    assert out.words_at_depth is not None
-    words = [str(w) for w in out.words_at_depth]
-    assert words[0] == "B^2A"
-    assert "B^3" in words  # the tabulated witness is among them
-    assert words == sorted(words, key=lambda s: tuple(Word.parse(s)))
-    for w in out.words_at_depth:
-        report = verify_witness(pair, w)
-        assert report.last_entry_ok and report.independence_ok
+    assert [str(w) for w in out.words_at_depth] == ["B^2A", "B^3", "A^-1B^-2", "B^-3"]
+    passing = []
+    for letters in product(range(4), repeat=3):  # lexicographic
+        if _reduced(letters):
+            report = verify_witness(pair, Word(letters))
+            if report.last_entry_ok and report.independence_ok:
+                passing.append(Word(letters))
+    assert out.words_at_depth == tuple(passing)
 
 
 def test_found_results_pass_certificate():
@@ -303,7 +310,8 @@ def _block_engines():
 
 
 BLOCK_ENGINES = _block_engines()
-BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in (-1, 0, 1, 2, 3)]
+# the root scans the blocks that follow B: neither is followed by B^-1
+BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in range(4)]
 
 
 def test_blocks_hold_the_reduced_suffixes_in_order():
@@ -312,12 +320,53 @@ def test_blocks_hold_the_reduced_suffixes_in_order():
             block = engine.block(k, last)
             suffixes = [
                 s for s in product(range(4), repeat=k)  # lexicographic
-                if all(y != inverse_letter(x) for x, y in zip((last,) + s, s))
+                if _reduced((last,) + s) and s[-1] != B
             ]
             assert list(block.suffixes) == suffixes, (k, last)
             assert list(block.vectors) == [
                 mat_vec(evaluate_word(Word(s), gen), engine.v) for s in suffixes
             ], (k, last)
+
+
+def test_worker_prefixes_skip_a_first_b_inverse():
+    _, engine = BLOCK_ENGINES[0]
+    prefixes = [letters for letters, _, _ in engine.prefixes(4)]
+    assert prefixes == [
+        s for s in product(range(4), repeat=4) if _reduced(s) and s[0] != B_INV
+    ]
+    assert len(prefixes) == 108 - 27
+
+
+@st.composite
+def reduced_words(draw, max_length):
+    """A reduced word of 1 .. max_length letters."""
+    letters = [draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(0, max_length - 1))):
+        letters.append(draw(st.sampled_from(
+            [y for y in range(4) if y != inverse_letter(letters[-1])])))
+    return tuple(letters)
+
+
+SWAP_PAIRS = [table_pair(2), table_pair(17), table_pair(22),
+              next(p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3)]
+
+
+@given(pair=st.sampled_from(SWAP_PAIRS), word=reduced_words(8))
+@example(pair=SWAP_PAIRS[1], word=Word.parse("B^3AB^3A").letters)  # witnesses
+@example(pair=SWAP_PAIRS[2], word=Word.parse("A^-1B^-4A^-1").letters)
+def test_swapping_into_b_keeps_the_candidate_check(pair, word):
+    # the pruning rests on this: uB passes iff uA does, and B^-1u iff A^-1u;
+    # the last entry c of gamma(v) itself is the same, not just its test
+    def check(letters):
+        report = verify_witness(pair, Word(letters))
+        return report.c, report.last_entry_ok, report.independence_ok
+
+    for with_a, with_b in (
+        (word[:-1] + (A,), word[:-1] + (B,)),
+        ((A_INV,) + word[1:], (B_INV,) + word[1:]),
+    ):
+        if _reduced(with_a) and _reduced(with_b):
+            assert check(with_a) == check(with_b), (with_a, with_b)
 
 
 def _bezout(w):
