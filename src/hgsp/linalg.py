@@ -191,24 +191,6 @@ def solve_scaled(a: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[Vec
     return det, xs
 
 
-def solve_unimodular(a: Matrix, b: Vector) -> Vector:
-    """Integer solution of a x = b; raises NonUnimodularError when it is not integral."""
-    det, xs = solve_scaled(a, [(y,) for y in b])
-    if det == 0:
-        raise ValueError("singular system")
-    if any(x % det for x in xs[0]):
-        raise NonUnimodularError(det)
-    return tuple(x // det for x in xs[0])
-
-
-def unimodular_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det, cols = solve_scaled(a, identity_matrix(len(a)))
-    if det not in (1, -1):
-        raise NonUnimodularError(det)
-    return tuple(tuple(det * x for x in row) for row in zip(*cols))
-
-
 def companion_inverse(p: IntPoly) -> Matrix:
     """Inverse of companion_matrix(p), written down directly.
 

@@ -14,17 +14,26 @@ Everything here is exact integer arithmetic.  The last entry of gamma(v)
 is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
 is the only state the search carries.  A step r -> r L copies entry i of r
 where column j of L is e_i and takes one dot product over the nonzeros of
-every other column.  The last 4 letters of every word (all of a shorter
+every other column.  The last 5 letters of every word (all of a shorter
 one) are tested as a suffix block: the reduced suffixes s that may follow
 the prefix, in lexicographic order, with each coordinate of w_s = L_s v
 packed into one big int at 64 bits per suffix.  One dot product of r with
 the packed coordinates gives every r . w_s at once, and is used only when
-max|r_i| * max_s |w_s|_1 < 2^63, which keeps each r . w_s + 2^63 inside
-its unsigned 64-bit field.  When no field holds +-1 or +-2 the block has
-no hit; otherwise, or when the bound fails, the block is walked with
+max|r_i| * l1 < 2^63, where l1 is a proven bound on every |w_s|_1; that
+keeps each r . w_s + 2^63 inside its unsigned 64-bit field, and the hits
+are read from the fields.  When the bound fails the block is walked with
 plain dot products.  A word whose last entry passes is confirmed with 2k
 matrix-vector products, gamma(v) from its last letter back and
 gamma^-1(v) from its first letter on, and the independence test.
+
+The suffixes of length k + 1 are y s for each letter y and each suffix s
+of length k that may follow y, so they are built packed: cut the run of
+suffixes starting with y^-1 out of the length-k columns and apply L_y to
+those n big ints.  The bound grows by the largest column l1 norm of the
+letter matrices per letter.  Cutting or unpacking a field needs it below
+2^63, so a length whose bound reaches 2^63 keeps plain vectors, built
+with one matrix-vector product per suffix, and its blocks always take the
+plain walk.
 
 Pruning rule: no tested word ends in B or starts with B^-1.  Proof:
 T = A^-1 B fixes e_1 .. e_{n-1} and Tv = v (v_n = 0 as f and g are
@@ -49,10 +58,12 @@ import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
-from .linalg import Matrix, Vector, linearly_independent, mat_vec
+from .linalg import Matrix, Vector, linearly_independent, mat_vec, transpose
 from .pairs import QualifiedPair
 from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, evaluate_word, inverse_letter
 
@@ -61,7 +72,7 @@ NOT_FOUND = "not_found"
 OBSTRUCTED = "obstructed"
 
 _PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
-_BLOCK_DEPTH = 4  # the last letters of every word are tested as one suffix block
+_BLOCK_DEPTH = 5  # the last letters of every word are tested as one suffix block
 _GOOD_LAST = frozenset((1, -1, 2, -2))
 _HALF = 1 << 63
 _GOOD_FIELDS = frozenset(_HALF + t for t in _GOOD_LAST)
@@ -126,7 +137,7 @@ class NodeBudgetExceeded(RuntimeError):
         self.nodes_visited = nodes_visited
         super().__init__(
             f"node budget reached after depth {depth_completed} "
-            f"({nodes_visited} words tested)"
+            f"({nodes_visited} words settled)"
         )
 
 
@@ -158,6 +169,14 @@ def _row_plan(mat: Matrix):
     return tuple(plan)
 
 
+def _apply(plan, x):
+    """The entries of a plan's product, taken from x (ints or packed ints)."""
+    return tuple([
+        x[item] if type(item) is int else sum(c * x[i] for i, c in item)
+        for item in plan
+    ])
+
+
 def _images(mats, v: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
     """gamma(v) and gamma^-1(v) for the word, one letter matrix at a time."""
     gv = giv = v
@@ -183,31 +202,58 @@ def _fields(values) -> int:
     return int.from_bytes(array("Q", [x + _HALF for x in values]).tobytes(), sys.byteorder)
 
 
-class _Block:
-    """The reduced suffixes s of one length that may follow one letter and
-    do not end in B, in lexicographic order, with w_s = L_s v.
+def _high(packed: int, start: int) -> int:
+    """The packing of fields start, start + 1, ... of a packing whose fields
+    are all below 2^63 in size: the fields below start sum to less than
+    2^(64 start - 1) in size, so rounding to a multiple of 2^(64 start)
+    drops exactly them."""
+    return (packed + (1 << 64 * start >> 1)) >> 64 * start
 
-    With j the position of s, columns[i] = sum_s w_s[i] 2^(64 j).  If
-    max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field j of
-    sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no carry.
+
+class _Block:
+    """Reduced suffixes s of one length that do not end in B, in
+    lexicographic order, with w_s = L_s v and a proven bound l1 on every
+    |w_s|_1.
+
+    With j the position of s, columns[i] = sum_s w_s[i] 2^(64 j), a signed
+    packing; it is kept only when l1 < 2^63, so each field w_s[i] can be cut
+    out or read back.  If max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field
+    j of sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no
+    carry.
     """
 
-    def __init__(self, suffixes, vectors):
+    def __init__(self, suffixes, l1: int, columns=None, vectors=None):
         self.suffixes = suffixes
-        self.vectors = vectors
-        self.l1 = max(sum(map(abs, w)) for w in vectors)
-        self.bias = _fields([0] * len(vectors))
-        self.columns = None  # too wide to pack: every row takes the plain test
-        if self.l1 < _HALF:
-            self.columns = tuple(_fields(c) - self.bias for c in zip(*vectors))
+        self.l1 = l1
+        self.columns = columns  # None: too wide to pack, every row takes the plain test
+        self.bias = _fields([0] * len(suffixes))
+        if vectors is not None:
+            self.vectors = vectors
+
+    @cached_property
+    def vectors(self):
+        """w_s for each suffix, unpacked from the columns."""
+        size = 8 * len(self.suffixes)
+        coords = [array("Q", (c + self.bias).to_bytes(size, sys.byteorder)) for c in self.columns]
+        return tuple(tuple(x - _HALF for x in w) for w in zip(*coords))
+
+    def without(self, start: int, stop: int) -> _Block:
+        """This block less the suffixes at positions start .. stop - 1."""
+        suffixes = self.suffixes[:start] + self.suffixes[stop:]
+        if self.columns is None:
+            return _Block(suffixes, self.l1, vectors=self.vectors[:start] + self.vectors[stop:])
+        return _Block(suffixes, self.l1, tuple(
+            c + ((_high(c, stop) - _high(c, start)) << 64 * start) for c in self.columns
+        ))
 
     def candidates(self, row) -> list[int]:
         """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending."""
         if self.columns is not None and max(map(abs, row)) * self.l1 < _HALF:
             packed = sum(map(operator.mul, row, self.columns), self.bias)
-            fields = memoryview(packed.to_bytes(8 * len(self.vectors), sys.byteorder))
-            if _GOOD_FIELDS.isdisjoint(fields.cast("Q")):
+            fields = memoryview(packed.to_bytes(8 * len(self.suffixes), sys.byteorder)).cast("Q")
+            if _GOOD_FIELDS.isdisjoint(fields):
                 return []
+            return [j for j, x in enumerate(fields) if x in _GOOD_FIELDS]
         return [
             j for j, w in enumerate(self.vectors)
             if sum(map(operator.mul, row, w)) in _GOOD_LAST
@@ -216,41 +262,60 @@ class _Block:
 
 class _Engine:
     """Shared state for one search: each letter's row plan, and the suffix
-    blocks, built on first use."""
+    levels and blocks, built on first use."""
 
     def __init__(self, gen: GeneratorPair, v: Vector):
         self.v = v
         self.mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
         self.plans = tuple(_row_plan(m) for m in self.mats)
+        self.vec_plans = tuple(_row_plan(transpose(m)) for m in self.mats)  # L w, row by row
+        # |L w|_1 <= norm |w|_1 for every letter matrix L
+        self.norm = max(sum(map(abs, col)) for m in self.mats for col in zip(*m))
         self.root = (0,) * (gen.degree - 1) + (1,)
-        # every reduced suffix of length k that does not end in B, with L_s v
-        self.levels = [(((),), (v,))]
+        # Level k: every reduced suffix of length k that does not end in B,
+        # and where the run of suffixes starting with each letter begins.
+        # The empty suffix counts as starting with B^-1: nothing ends in B.
+        l1 = sum(map(abs, v))
+        self.levels = [(
+            _Block(((),), l1, v) if l1 < _HALF else _Block(((),), l1, vectors=(v,)),
+            (0, 0, 0, 0, 1),
+        )]
         self.blocks: dict[tuple[int, int], _Block] = {}  # by (length, previous letter)
 
     def _step(self, row, letter: int):
-        return tuple([
-            row[item] if type(item) is int else sum(c * row[i] for i, c in item)
-            for item in self.plans[letter]
-        ])
+        return _apply(self.plans[letter], row)
 
     def _level(self, k: int):
+        """Level k + 1 is L_y applied to the block of level k that may follow
+        y, for each letter y in turn; packed, that is n big-int
+        combinations of the block's columns per letter."""
         while len(self.levels) <= k:
-            pairs = [
-                ((y,) + s, mat_vec(self.mats[y], w))
-                for y in _ALL_LETTERS
-                for s, w in zip(*self.levels[-1])
-                if (s[0] != inverse_letter(y) if s else y != B)
-            ]
-            self.levels.append(tuple(zip(*pairs)))
+            parts = [self.block(len(self.levels) - 1, y) for y in _ALL_LETTERS]
+            suffixes = tuple((y,) + s for y in _ALL_LETTERS for s in parts[y].suffixes)
+            starts = tuple(accumulate((len(p.suffixes) for p in parts), initial=0))
+            l1 = self.norm * parts[0].l1
+            if l1 < _HALF:
+                columns = tuple(
+                    sum(c << 64 * start for c, start in zip(coords, starts))
+                    for coords in zip(*(
+                        _apply(self.vec_plans[y], parts[y].columns) for y in _ALL_LETTERS
+                    ))
+                )
+                level = _Block(suffixes, l1, columns)
+            else:
+                level = _Block(suffixes, l1, vectors=tuple(
+                    mat_vec(self.mats[y], w) for y in _ALL_LETTERS for w in parts[y].vectors
+                ))
+            self.levels.append((level, starts))
         return self.levels[k]
 
     def block(self, k: int, last: int) -> _Block:
+        """Level k less the suffixes starting with last's inverse."""
         key = (k, last)
         if key not in self.blocks:
+            level, starts = self._level(k)
             banned = inverse_letter(last)
-            self.blocks[key] = _Block(*zip(*(
-                (s, w) for s, w in zip(*self._level(k)) if s[0] != banned
-            )))
+            self.blocks[key] = level.without(starts[banned], starts[banned + 1])
         return self.blocks[key]
 
     def scan(self, row, last: int, remaining: int, path: list[int],

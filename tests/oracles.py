@@ -14,6 +14,10 @@ in canonical order and tests each one on its full matrix product, with the
 generic inverse.  ``reference_search`` is a plain recursive first-hit
 searcher on full matrix products, used to cross-check existence and
 depth bounds.
+
+``solve_unimodular`` and ``unimodular_inverse`` solve with a generic
+unimodular matrix through ``hgsp.linalg.solve_scaled``; the library only
+ever inverts companion matrices, in closed form.
 """
 
 from __future__ import annotations
@@ -27,16 +31,38 @@ from typing import Optional, Sequence
 from hgsp.hgroup import GeneratorPair, build_generators, transvection_vector
 from hgsp.linalg import (
     Matrix,
+    NonUnimodularError,
     Vector,
     _bareiss_echelon,
     identity_matrix,
     linearly_independent,
     mat_mul,
     mat_vec,
-    unimodular_inverse,
+    solve_scaled,
 )
 from hgsp.pairs import QualifiedPair
 from hgsp.words import Word, evaluate_word, inverse_letter
+
+
+# -- unimodular solves --------------------------------------------------------
+
+
+def solve_unimodular(a: Matrix, b: Vector) -> Vector:
+    """Integer solution of a x = b; raises NonUnimodularError when it is not integral."""
+    det, xs = solve_scaled(a, [(y,) for y in b])
+    if det == 0:
+        raise ValueError("singular system")
+    if any(x % det for x in xs[0]):
+        raise NonUnimodularError(det)
+    return tuple(x // det for x in xs[0])
+
+
+def unimodular_inverse(a: Matrix) -> Matrix:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    det, cols = solve_scaled(a, identity_matrix(len(a)))
+    if det not in (1, -1):
+        raise NonUnimodularError(det)
+    return tuple(tuple(det * x for x in row) for row in zip(*cols))
 
 
 # -- kernels -------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_search_budget_exhaustion_exits_one(capsys):
         "--max-depth", "9", "--node-budget", "100", "--no-cache",
     )
     assert rc == 1
-    assert "node budget reached after depth 3 (52 words tested)" in err
+    assert "node budget reached after depth 3 (52 words settled)" in err
 
 
 def test_search_cache_round_trip(tmp_path, capsys):

@@ -23,12 +23,10 @@ from hgsp.linalg import (
     mat_sub,
     mat_vec,
     rank,
-    solve_unimodular,
     transpose,
-    unimodular_inverse,
 )
 from hgsp.poly import IntPoly
-from oracles import kernel_basis, nullspace
+from oracles import kernel_basis, nullspace, solve_unimodular, unimodular_inverse
 
 
 # -- oracles -----------------------------------------------------------------

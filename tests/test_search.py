@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from hgsp import search
 from hgsp.certify import verify_witness
+from hgsp.cyclotomic import CycloFactorization
 from hgsp.fixtures import TABLE_A
 from hgsp.hgroup import build_generators, transvection_vector
-from hgsp.linalg import mat_vec, unimodular_inverse
-from hgsp.pairs import enumerate_qualified_pairs
+from hgsp.linalg import mat_vec
+from hgsp.pairs import enumerate_qualified_pairs, make_pair
 from hgsp.search import (
     _BLOCK_DEPTH,
     FOUND,
@@ -26,7 +27,7 @@ from hgsp.search import (
 )
 from hgsp.words import A, A_INV, B, B_INV, Word, evaluate_word, inverse_letter
 
-from oracles import canonical_search, reference_search
+from oracles import canonical_search, reference_search, unimodular_inverse
 
 
 def table_pair(number):
@@ -267,7 +268,7 @@ def deep_oracle_cases(oracle_cases):
 
 
 def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
-    # a length-6 word is a 2-letter prefix over a 4-letter suffix block
+    # a length-6 word is a 1-letter prefix over a 5-letter suffix block
     (_, found), (_, missing) = deep_oracle_cases
     assert len(found[0]) == 6 and len(found[2]) > 1
     assert missing[0] is None
@@ -282,7 +283,8 @@ def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
 
 def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
     # depths 5 and 6 are past the pivot depth, so two workers split those
-    # levels: at depth 6 each worker's 4-letter prefix meets a 2-letter block
+    # levels: each worker's 4-letter prefix meets a 1- or 2-letter block,
+    # where the serial scan takes at most one letter before a 5-letter block
     shallow = next(
         case for case in oracle_cases if case[1][0] is None or len(case[1][0]) == 5
     )
@@ -301,11 +303,18 @@ def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
 
 
 def _block_engines():
+    """Engines for rows 22 and 2, a degree-8 class and 1^12|2^12.  The
+    column-norm bound of 1^12|2^12 reaches 2^72 at length 5, so that level
+    keeps plain vectors; with v scaled by 2^40 the entries themselves pass
+    2^63 from length 4 on."""
     degree8 = next(p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3)
+    degree12 = make_pair(CycloFactorization.parse("1^12"), CycloFactorization.parse("2^12"))
     engines = []
-    for pair in (table_pair(22), table_pair(2), degree8):
+    for pair in (table_pair(22), table_pair(2), degree8, degree12):
         gen = build_generators(pair)
         engines.append((gen, _Engine(gen, transvection_vector(gen))))
+    gen, wide = engines[-1]
+    engines.append((gen, _Engine(gen, tuple(x << 40 for x in wide.v))))
     return engines
 
 
@@ -316,16 +325,25 @@ BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in range(4)
 
 def test_blocks_hold_the_reduced_suffixes_in_order():
     for gen, engine in BLOCK_ENGINES:
+        images = {}
         for k, last in BLOCK_KEYS:
             block = engine.block(k, last)
             suffixes = [
                 s for s in product(range(4), repeat=k)  # lexicographic
                 if _reduced((last,) + s) and s[-1] != B
             ]
+            for s in suffixes:
+                if s not in images:
+                    images[s] = mat_vec(evaluate_word(Word(s), gen), engine.v)
             assert list(block.suffixes) == suffixes, (k, last)
-            assert list(block.vectors) == [
-                mat_vec(evaluate_word(Word(s), gen), engine.v) for s in suffixes
-            ], (k, last)
+            assert list(block.vectors) == [images[s] for s in suffixes], (k, last)
+            assert max(sum(map(abs, w)) for w in block.vectors) <= block.l1
+            assert (block.columns is None) == (block.l1 >= 2 ** 63), (k, last)
+    # the 1^12|2^12 engines keep plain vectors from lengths 5 and 1 on
+    assert [
+        min(k for k, last in BLOCK_KEYS if engine.block(k, last).columns is None)
+        for _, engine in BLOCK_ENGINES[3:]
+    ] == [5, 1]
 
 
 def test_worker_prefixes_skip_a_first_b_inverse():
@@ -424,9 +442,13 @@ def test_packed_block_test_matches_plain_dot_products(kind, data):
 
 def test_packed_block_test_finds_a_witness_under_the_bound():
     # row 22's witness AB^4A: the prefix AB leaves the suffix B^3A, and the
-    # prefix row is small enough for the packed test
+    # prefix A (as the depth-6 scan takes it) the suffix B^4A; both prefix
+    # rows are small enough for the packed test
     gen, engine = BLOCK_ENGINES[0]
-    row = engine._step(engine._step(engine.root, 0), 1)
-    block = engine.block(4, 1)
-    assert max(map(abs, row)) * block.l1 < 2 ** 63
-    assert block.suffixes[block.candidates(row)[0]] == (1, 1, 1, 0)
+    for prefix, k, suffix in (((A, B), 4, (B, B, B, A)), ((A,), 5, (B, B, B, B, A))):
+        row = engine.root
+        for y in prefix:
+            row = engine._step(row, y)
+        block = engine.block(k, prefix[-1])
+        assert max(map(abs, row)) * block.l1 < 2 ** 63
+        assert block.suffixes[block.candidates(row)[0]] == suffix
