@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
@@ -53,8 +52,10 @@ from .pairs import (
     PairClassification,
     QualifiedPair,
     enumerate_qualified_pairs,
+    gcd_obstruction,
     initial_classification,
     make_pair,
+    vector_gcd,
 )
 from .poly import parse_coefficients
 from .report import build_report
@@ -63,7 +64,6 @@ from .search import (
     OBSTRUCTED,
     NodeBudgetExceeded,
     SearchConfig,
-    gcd_obstruction,
     search_witness,
 )
 from .words import NotReducedError, Word, WordSyntaxError
@@ -178,10 +178,6 @@ def _resolve_pair(
 def _pair_record(pair: QualifiedPair, with_omega: bool = False) -> dict:
     gen = build_generators(pair)
     v = transvection_vector(gen)
-    gcd_v = 0
-    for entry in v:
-        gcd_v = math.gcd(gcd_v, entry)
-    cls = initial_classification(pair, v)
     record = {
         "pair_id": pair.pair_id,
         "degree": pair.degree,
@@ -191,8 +187,8 @@ def _pair_record(pair: QualifiedPair, with_omega: bool = False) -> dict:
         "beta": [str(x) for x in pair.beta],
         "lc": pair.lc,
         "v": list(v),
-        "gcd_v": gcd_v,
-        "class": cls.kind,
+        "gcd_v": vector_gcd(v),
+        "class": initial_classification(pair, v).kind,
         "witness": None,
         "depth": None,
     }
@@ -226,6 +222,8 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error(f"degree must be a positive even integer, got {args.degree}")
     if args.degree > MAX_DEGREE:
         parser.error(f"degree must be at most {MAX_DEGREE}, got {args.degree}")
+    if args.output and (Path(args.output).is_dir() or not Path(args.output).parent.is_dir()):
+        parser.error(f"--output {args.output} must name a file in an existing directory")
     pairs = enumerate_qualified_pairs(args.degree, args.convention, mum_only=args.mum)
     records = [_pair_record(p, with_omega=args.with_omega) for p in pairs]
     if args.output:
@@ -246,9 +244,6 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     pair = _resolve_pair(args, parser)
     gen = build_generators(pair)
     v = transvection_vector(gen)
-    gcd_v = 0
-    for entry in v:
-        gcd_v = math.gcd(gcd_v, entry)
     print(f"pair_id: {pair.pair_id}")
     print(f"f: {pair.f_fac.text} = {','.join(str(c) for c in pair.f.coeffs)}")
     print(f"g: {pair.g_fac.text} = {','.join(str(c) for c in pair.g.coeffs)}")
@@ -256,7 +251,7 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     print(f"beta: {','.join(str(x) for x in pair.beta)}")
     print(f"lc: {pair.lc} (|lc| = {abs(pair.lc)})")
     print(f"v: {','.join(str(x) for x in v)}")
-    print(f"gcd(v): {gcd_v}")
+    print(f"gcd(v): {vector_gcd(v)}")
     try:
         form = invariant_symplectic_form(gen, v)
     except InvariantFormError as exc:
@@ -265,19 +260,14 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print("omega:")
         for row in form.omega:
             print("  " + " ".join(f"{x:6d}" for x in row))
-    if abs(pair.lc) <= 2:
+    cls = initial_classification(pair, v)
+    if cls.kind == "arithmetic_small_lc":
         print(f"sv-criterion: arithmetic by small leading coefficient (|lc| = {abs(pair.lc)})")
     else:
         print(f"sv-criterion: inapplicable (|lc| = {abs(pair.lc)})")
-        if gcd_v > 2:
-            print(f"gcd obstruction: no witness word exists (gcd {gcd_v})")
+    if cls.kind == "obstructed":
+        print(f"gcd obstruction: no witness word exists (gcd {cls.gcd})")
     return 0
-
-
-def _record_to_output(record: CacheRecord, cached: bool) -> dict:
-    data = record.to_json()
-    data["cached"] = cached
-    return data
 
 
 def _certified(pair: QualifiedPair, record: CacheRecord) -> bool:
@@ -300,12 +290,16 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         path = Path(args.cache) if args.cache else default_cache_path()
+        # the cache creates missing directories, so the nearest existing
+        # ancestor has to be one
+        if path.is_dir() or not next(p for p in path.parents if p.exists()).is_dir():
+            parser.error(f"cache path {path} is a directory or lies under a file")
         cache = ResultCache(path)
         if not args.force:
             hit = cache.lookup(pair.pair_id, args.max_depth)
             if hit is not None:
                 if _certified(pair, hit):
-                    print(json.dumps(_record_to_output(hit, cached=True)))
+                    print(json.dumps({**hit.to_json(), "cached": True}))
                     return 0
                 # a record that fails its check must not outrank the rerun
                 cache.discard(pair.pair_id)
@@ -320,12 +314,9 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except NodeBudgetExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 1
-    if outcome.status == FOUND:
-        cls_kind = "arithmetic_witness"
-    elif outcome.status == OBSTRUCTED:
-        cls_kind = "obstructed"
-    else:
-        cls_kind = "unknown"
+    cls_kind = {FOUND: "arithmetic_witness", OBSTRUCTED: "obstructed"}.get(
+        outcome.status, "unknown"
+    )
     data = outcome.to_json()
     data["pair_id"] = pair.pair_id
     data["class"] = cls_kind

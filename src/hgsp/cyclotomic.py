@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .poly import IntPoly
@@ -61,7 +61,11 @@ def admissible_indices(degree: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, init=False)
 class CycloFactorization:
-    """A multiset of cyclotomic indices, stored as sorted (index, multiplicity)."""
+    """A multiset of cyclotomic indices, stored as sorted (index, multiplicity).
+
+    Degree, support, expansion and scalar shift are computed once per
+    instance, so callers keep no caches of their own.
+    """
 
     factors: tuple[tuple[int, int], ...]
 
@@ -78,11 +82,11 @@ class CycloFactorization:
             self, "factors", tuple(sorted(merged.items()))
         )
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return sum(k * totient(m) for m, k in self.factors)
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(m for m, _ in self.factors)
 
@@ -90,6 +94,10 @@ class CycloFactorization:
         return dict(self.factors).get(m, 0)
 
     def expand(self) -> IntPoly:
+        return self._expansion
+
+    @cached_property
+    def _expansion(self) -> IntPoly:
         p = IntPoly.one()
         for m, k in self.factors:
             p = p * cyclotomic_poly(m) ** k
@@ -99,13 +107,14 @@ class CycloFactorization:
         """Sorted list of a/m over primitive residues a mod m, with multiplicity."""
         out: list[Fraction] = []
         for m, k in self.factors:
-            block = [Fraction(a, m) for a in range(m) if math.gcd(a, m) == 1]
-            if m == 1:
-                block = [Fraction(0)]
-            out.extend(block * k)
+            out.extend(_primitive_residues(m) * k)
         return tuple(sorted(out))
 
     def scalar_shift(self) -> "CycloFactorization":
+        return self._shifted
+
+    @cached_property
+    def _shifted(self) -> "CycloFactorization":
         return CycloFactorization((shifted_index(m), k) for m, k in self.factors)
 
     # -- text form: "3^2,6" means Phi_3^2 * Phi_6 ---------------------------
@@ -121,23 +130,22 @@ class CycloFactorization:
             chunk = chunk.strip()
             if not chunk:
                 raise ValueError(f"bad factorization text {text!r}")
-            if "^" in chunk:
-                base, _, exp = chunk.partition("^")
-                try:
-                    items.append((int(base), int(exp)))
-                except ValueError:
-                    raise ValueError(f"bad factorization term {chunk!r}") from None
-            else:
-                try:
-                    items.append((int(chunk), 1))
-                except ValueError:
-                    raise ValueError(f"bad factorization term {chunk!r}") from None
+            base, caret, exp = chunk.partition("^")
+            try:
+                items.append((int(base), int(exp) if caret else 1))
+            except ValueError:
+                raise ValueError(f"bad factorization term {chunk!r}") from None
         if any(k < 1 for _, k in items):
             raise ValueError(f"multiplicities must be positive in {text!r}")
         return cls(items)
 
     def __str__(self) -> str:
         return self.text
+
+
+def _primitive_residues(m: int) -> list[Fraction]:
+    """The a/m with 0 <= a < m and gcd(a, m) = 1, ascending (just 0 for m = 1)."""
+    return [Fraction(a, m) for a in range(m) if math.gcd(a, m) == 1]
 
 
 def shifted_index(m: int) -> int:
@@ -197,9 +205,7 @@ def factorization_from_parameters(params: Sequence[Fraction]) -> CycloFactorizat
         residues.setdefault(r.denominator, []).append(r)
     factors = []
     for m, block in sorted(residues.items()):
-        full = sorted(Fraction(a, m) for a in range(max(m, 1)) if math.gcd(a, m) == 1)
-        if m == 1:
-            full = [Fraction(0)]
+        full = _primitive_residues(m)
         if len(block) % len(full):
             raise NotCyclotomicProduct(
                 f"parameters with denominator {m} do not fill whole primitive blocks"

@@ -7,6 +7,12 @@ both polynomials in x^k for any k >= 2), and f != g.  Pairs are counted up
 to scalar shift x -> -x, optionally also up to swapping f and g; the
 combined convention is the package default because it is the one the
 embedded degree-6 tables are stated in.
+
+Each rule is stated once.  qualification_failures is the qualification
+rule, and make_pair, which the package builds every QualifiedPair with,
+runs it.  _orbit_minimum is the class key, used by canonical_representative
+and by enumeration.  vector_gcd is the gcd of v and gcd_obstruction the
+"gcd(v) > 2" test; the search, the pre-search buckets and the CLI use them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .cyclotomic import (
     CycloFactorization,
@@ -117,19 +123,12 @@ def qualification_failures(
 
 
 def make_pair(f_fac: CycloFactorization, g_fac: CycloFactorization) -> QualifiedPair:
+    """The qualified pair (f_fac, g_fac); raises NotQualifiedError otherwise."""
     reasons = qualification_failures(f_fac, g_fac)
     if reasons:
         raise NotQualifiedError(reasons)
-    f = f_fac.expand()
-    g = g_fac.expand()
-    return QualifiedPair(
-        f_fac=f_fac,
-        g_fac=g_fac,
-        f=f,
-        g=g,
-        degree=f.degree,
-        lc=leading_coeff_diff(f, g),
-    )
+    f, g = f_fac.expand(), g_fac.expand()
+    return QualifiedPair(f_fac, g_fac, f, g, degree=f.degree, lc=leading_coeff_diff(f, g))
 
 
 def leading_coeff_diff(f: IntPoly, g: IntPoly) -> int:
@@ -153,16 +152,9 @@ def enumerate_factorizations(degree: int) -> list[CycloFactorization]:
             return
         if pos == len(indices):
             return
-        m = indices[pos]
-        d = totient(m)
-        k = 0
-        while k * d <= remaining:
-            if k:
-                acc.append((m, k))
-            rec(pos + 1, remaining - k * d, acc)
-            if k:
-                acc.pop()
-            k += 1
+        m, d = indices[pos], totient(indices[pos])
+        for k in range(remaining // d + 1):
+            rec(pos + 1, remaining - k * d, acc + [(m, k)])  # k = 0 drops out
 
     rec(0, degree, [])
     out.sort(key=lambda fac: fac.factors)
@@ -172,12 +164,19 @@ def enumerate_factorizations(degree: int) -> list[CycloFactorization]:
 def _orbit(
     f_fac: CycloFactorization, g_fac: CycloFactorization, convention: str
 ) -> list[tuple[CycloFactorization, CycloFactorization]]:
-    members = [(f_fac, g_fac), (f_fac.scalar_shift(), g_fac.scalar_shift())]
+    shifted = (f_fac.scalar_shift(), g_fac.scalar_shift())
+    if convention == SHIFT:
+        return [(f_fac, g_fac), shifted]
     if convention == SHIFT_SWAP:
-        members += [(g, f) for f, g in list(members)]
-    elif convention != SHIFT:
-        raise ValueError(f"unknown convention {convention!r}")
-    return members
+        return [(f_fac, g_fac), shifted, (g_fac, f_fac), shifted[::-1]]
+    raise ValueError(f"unknown convention {convention!r}")
+
+
+def _orbit_minimum(
+    f_fac: CycloFactorization, g_fac: CycloFactorization, convention: str
+) -> tuple[CycloFactorization, CycloFactorization]:
+    """The orbit member with lexicographically least factorization encoding."""
+    return min(_orbit(f_fac, g_fac, convention), key=lambda fg: (fg[0].factors, fg[1].factors))
 
 
 def canonical_representative(
@@ -185,9 +184,8 @@ def canonical_representative(
     g_fac: CycloFactorization,
     convention: str = DEFAULT_CONVENTION,
 ) -> QualifiedPair:
-    """The orbit member with lexicographically least factorization encoding."""
-    best = min(_orbit(f_fac, g_fac, convention), key=lambda fg: (fg[0].factors, fg[1].factors))
-    return make_pair(*best)
+    """The class's orbit minimum, as a qualified pair."""
+    return make_pair(*_orbit_minimum(f_fac, g_fac, convention))
 
 
 def mum_oriented(pair: QualifiedPair) -> QualifiedPair:
@@ -211,45 +209,51 @@ def enumerate_qualified_pairs(
     """All qualified pairs of the given degree, one per equivalence class.
 
     Classes are taken under scalar shift, plus swap when the convention says
-    so, and listed by the canonical representative's encoding.
+    so, and listed by the canonical representative's encoding.  In even
+    degree qualification is invariant under shift and swap, so the ordered
+    pairs that are their own orbit minimum and pass make_pair, walked in
+    encoding order, are the classes in order.  With mum_only, each maximally
+    unipotent class is listed as its mum_oriented member instead.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     facs = enumerate_factorizations(degree)
-    expansions = {fac: fac.expand() for fac in facs}
-    exp_gcds = {fac: exponent_gcd(expansions[fac]) for fac in facs}
-    phi1_ok = [fac for fac in facs if fac.multiplicity(1) % 2 == 0]
-    seen: set[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]] = set()
     reps: list[QualifiedPair] = []
-    for f_fac in phi1_ok:
-        for g_fac in phi1_ok:
-            if f_fac == g_fac or (f_fac.support & g_fac.support):
+    for f_fac in facs:
+        for g_fac in facs:
+            if _orbit_minimum(f_fac, g_fac, convention) != (f_fac, g_fac):
                 continue
-            if math.gcd(exp_gcds[f_fac], exp_gcds[g_fac]) >= 2:
+            try:
+                reps.append(make_pair(f_fac, g_fac))
+            except NotQualifiedError:
                 continue
-            best = min(
-                _orbit(f_fac, g_fac, convention),
-                key=lambda fg: (fg[0].factors, fg[1].factors),
-            )
-            key = (best[0].factors, best[1].factors)
-            if key in seen:
-                continue
-            seen.add(key)
-            reps.append(make_pair(*best))
-    reps.sort(key=lambda p: (p.f_fac.factors, p.g_fac.factors))
     if mum_only:
         reps = [mum_oriented(p) for p in reps if p.is_mum()]
         reps.sort(key=lambda p: (p.f_fac.factors, p.g_fac.factors))
     return reps
 
 
-def initial_classification(pair: QualifiedPair, v: Iterable[int]) -> PairClassification:
+def vector_gcd(v: Sequence[int]) -> int:
+    """gcd of the entries of v (0 for the zero vector)."""
+    return math.gcd(*v)
+
+
+def gcd_obstruction(v: Sequence[int]) -> Optional[int]:
+    """gcd of the entries of v when it rules a witness out (> 2), else None.
+
+    Every gamma in the group is integral with inverse integral, so the
+    entries of gamma(v) keep the gcd of v as a common divisor; a gcd above
+    2 leaves no room for a last entry in {+-1, +-2}.
+    """
+    if not any(v):
+        raise ValueError("zero vector")
+    g = vector_gcd(v)
+    return g if g > 2 else None
+
+
+def initial_classification(pair: QualifiedPair, v: Sequence[int]) -> PairClassification:
     """Pre-search bucket: small lc, gcd obstruction, or unknown."""
     if abs(pair.lc) <= 2:
         return PairClassification(kind="arithmetic_small_lc")
-    g = 0
-    for entry in v:
-        g = math.gcd(g, entry)
-    if g > 2:
+    g = gcd_obstruction(v)
+    if g is not None:
         return PairClassification(kind="obstructed", gcd=g)
     return PairClassification(kind="unknown", searched_depth=0)

@@ -37,10 +37,6 @@ class IntPoly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, k: int, c: int = 1) -> "IntPoly":
         if k < 0:
             raise ValueError("negative exponent")

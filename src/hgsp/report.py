@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import fixtures
-from .cyclotomic import factorization_from_parameters, parse_parameters
+from .cyclotomic import parse_parameters
 from .hgroup import build_generators, transvection_vector
 from .pairs import (
     DEFAULT_CONVENTION,
@@ -112,7 +112,8 @@ def _check_table_d(
     d_ids: set[str] = set()
     for row in table_d:
         try:
-            pair = _row_representative(row, convention)
+            as_given = fixtures.parameter_pair(row.alpha, row.beta)
+            pair = canonical_representative(as_given.f_fac, as_given.g_fac, convention)
         except NotQualifiedError as exc:
             mismatches.append(f"row {row.number}: not a qualified pair ({exc})")
             continue
@@ -131,12 +132,6 @@ def _check_table_d(
         mismatches=tuple(mismatches),
     )
     return check, d_ids
-
-
-def _row_representative(row: fixtures.OpenRow, convention: str) -> QualifiedPair:
-    f_fac = factorization_from_parameters(parse_parameters(",".join(row.alpha)))
-    g_fac = factorization_from_parameters(parse_parameters(",".join(row.beta)))
-    return canonical_representative(f_fac, g_fac, convention)
 
 
 def _check_counts(

@@ -51,7 +51,6 @@ word two letters shorter would pass.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 import sys
@@ -64,7 +63,7 @@ from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
 from .linalg import Matrix, Vector, linearly_independent, mat_vec, transpose
-from .pairs import QualifiedPair
+from .pairs import QualifiedPair, gcd_obstruction
 from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, evaluate_word, inverse_letter
 
 FOUND = "found"
@@ -139,21 +138,6 @@ class NodeBudgetExceeded(RuntimeError):
             f"node budget reached after depth {depth_completed} "
             f"({nodes_visited} words settled)"
         )
-
-
-def gcd_obstruction(v: Vector) -> Optional[int]:
-    """gcd of the entries of v when it rules a witness out (> 2), else None.
-
-    Every gamma in the group is integral with inverse integral, so the
-    entries of gamma(v) keep the gcd of v as a common divisor; a gcd above
-    2 leaves no room for a last entry in {+-1, +-2}.
-    """
-    if not any(v):
-        raise ValueError("zero vector")
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g if g > 2 else None
 
 
 # -- engine internals ---------------------------------------------------------

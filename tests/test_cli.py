@@ -17,6 +17,10 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("bad input must be refused before this runs")
+
+
 def test_enumerate_jsonl_count_and_summary(capsys):
     rc, out, err = run(capsys, "enumerate", "--degree", "6")
     assert rc == 0
@@ -59,6 +63,19 @@ def test_enumerate_output_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert len(target.read_text().strip().splitlines()) == 58
+
+
+@pytest.mark.parametrize("target", ["", "missing/pairs.jsonl"], ids=["directory", "no-parent"])
+def test_enumerate_output_must_be_a_file_in_a_directory(tmp_path, monkeypatch, capsys, target):
+    monkeypatch.setattr("hgsp.cli.enumerate_qualified_pairs", _refuse)
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--degree", "4", "--output", str(tmp_path / target)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = [x for x in captured.err.splitlines() if not x.startswith("usage:")]
+    assert "must name a file in an existing directory" in line
+    assert not (tmp_path / "missing").exists()
 
 
 def test_enumerate_rejects_odd_degree(capsys):
@@ -239,6 +256,40 @@ def test_search_cache_skips_a_line_that_is_not_utf8(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["cached"] is True
 
 
+def _search_refused_for_cache(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--f", "1^6", "--g", "3,6^2", "--max-depth", "2", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = [x for x in captured.err.splitlines() if not x.startswith("usage:")]
+    assert "is a directory or lies under a file" in line
+
+
+def test_search_cache_path_that_is_a_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("hgsp.cli.search_witness", _refuse)
+    _search_refused_for_cache(capsys, ["--cache", str(tmp_path)])
+    monkeypatch.setenv("HGSP_CACHE", str(tmp_path))
+    _search_refused_for_cache(capsys, [])
+
+
+def test_search_cache_path_under_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("hgsp.cli.search_witness", _refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _search_refused_for_cache(capsys, ["--cache", str(blocker / "c.jsonl")])
+    _search_refused_for_cache(capsys, ["--cache", str(blocker / "sub" / "c.jsonl")])
+    assert blocker.read_text() == ""
+
+
+def test_search_cache_creates_missing_directories(tmp_path, capsys):
+    cache = tmp_path / "new" / "sub" / "c.jsonl"
+    rc, out, _ = run(capsys, "search", "--f", "1^6", "--g", "3,6^2",
+                     "--max-depth", "2", "--cache", str(cache))
+    assert rc == 0 and json.loads(out)["status"] == "not_found"
+    assert cache.exists()
+
+
 def test_search_cache_serves_true_obstruction(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     argv = ["search", "--f", "1^6", "--g", "2^6",
@@ -321,10 +372,6 @@ def test_exponent_parameters_are_usage_error(monkeypatch, capsys):
     assert err.value.code == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert "exponent notation is not accepted" in lines[-1]
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("oversized input must be refused before this runs")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hgsp import pairs as pairs_module
 from hgsp.cyclotomic import CycloFactorization
 from hgsp.pairs import (
     DEFAULT_CONVENTION,
@@ -118,6 +119,37 @@ def test_census_entries_unique_and_canonical():
     for p in pairs[::37]:
         rep = canonical_representative(p.f_fac, p.g_fac)
         assert rep.pair_id == p.pair_id
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("convention", [SHIFT, SHIFT_SWAP])
+def test_census_matches_brute_force_classes(degree, convention):
+    # every qualified ordered pair, mapped to its class representative
+    facs = enumerate_factorizations(degree)
+    classes = {
+        canonical_representative(f, g, convention).pair_id
+        for f in facs for g in facs if not qualification_failures(f, g)
+    }
+    pairs = enumerate_qualified_pairs(degree, convention)
+    assert [p.pair_id for p in pairs] == sorted(
+        classes, key=lambda pid: tuple(CycloFactorization.parse(s).factors for s in pid.split("|"))
+    )
+
+
+def test_census_qualifies_each_class_once(monkeypatch):
+    calls = []
+    real = qualification_failures
+
+    def counting(f_fac, g_fac):
+        calls.append((f_fac, g_fac))
+        return real(f_fac, g_fac)
+
+    monkeypatch.setattr(pairs_module, "qualification_failures", counting)
+    for convention in (SHIFT, SHIFT_SWAP):
+        calls.clear()
+        reps = enumerate_qualified_pairs(6, convention)
+        assert len(set(calls)) == len(calls)
+        assert [fg for fg in calls if not real(*fg)] == [(p.f_fac, p.g_fac) for p in reps]
 
 
 def test_canonical_representative_orbit_invariance():

@@ -1,0 +1,113 @@
+"""Byte-level pins on enumeration and analyze output.
+
+The digests and texts below were captured from the implementation in which
+enumeration restated the qualification rule inline; they hold any later
+rewrite of the pair layer to the same classes, order and records.
+"""
+
+import hashlib
+
+import pytest
+
+from hgsp.cli import main
+from hgsp.pairs import SHIFT, SHIFT_SWAP, enumerate_qualified_pairs
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+ENUMERATE_STDOUT = {
+    (4, SHIFT, False): "3a6adc387e40f533a320f27cc21d9264d59ed20e1b63abcb901969b0a50242e9",
+    (4, SHIFT, True): "d4a2fb6728063fbc564ce3dd9273d4655ae0b03a3095b8ef08363e61dec6303d",
+    (4, SHIFT_SWAP, False): "ae3afcaf615c1b738db0e55b0dff4940b6dfa3e587be7765cea453a3353db17f",
+    (4, SHIFT_SWAP, True): "6ba8211b6f387da0372d422e5a6f0336ac6ab9e62fdccd6e6ed241d404d8d63e",
+    (6, SHIFT, False): "18e045aee40b9817714f58b5bb8f227044bc713d8449a5fb4a4ed0ffabdb4c8a",
+    (6, SHIFT, True): "f1ce454afbfbb991f6987db02dc9cefdf9235e4d735b6928a224ccdb109a41bc",
+    (6, SHIFT_SWAP, False): "db80c3b89e3b99e3d2fc1f16886ca930c708b8a2fab11bb76137eaf7ced882ce",
+    (6, SHIFT_SWAP, True): "6790bcc5ae7b303eb43f7d209e7c0290d4d279f83d077dfc93e72b539bc62841",
+}
+
+
+@pytest.mark.parametrize("degree,convention,mum", sorted(ENUMERATE_STDOUT))
+def test_enumerate_stdout_digest(capsys, degree, convention, mum):
+    argv = ["enumerate", "--degree", str(degree), "--convention", convention]
+    assert main(argv + (["--mum"] if mum else [])) == 0
+    out = capsys.readouterr().out
+    assert sha256(out) == ENUMERATE_STDOUT[degree, convention, mum]
+
+
+@pytest.mark.parametrize("convention,digest", [
+    (SHIFT, "a829f01fb759c9a19fa30ff2fb8a39ab4ad9722bbfdf110d5a026563d28e7a58"),
+    (SHIFT_SWAP, "c81f93e99ea8f32d348256de91044831f265542a0eb99f3da2ef14e936f0db1d"),
+])
+def test_degree_eight_ids_and_lc_digest(convention, digest):
+    pairs = enumerate_qualified_pairs(8, convention)
+    assert sha256(repr([(p.pair_id, p.lc) for p in pairs])) == digest
+
+
+ANALYZE_STDOUT = {
+    ("1^6", "3^2,6"): """\
+pair_id: 1^6|3^2,6
+f: 1^6 = 1,-6,15,-20,15,-6,1
+g: 3^2,6 = 1,1,2,1,2,1,1
+alpha: 0,0,0,0,0,0
+beta: 1/6,1/3,1/3,2/3,2/3,5/6
+lc: -7 (|lc| = 7)
+v: -7,13,-21,13,-7,0
+gcd(v): 1
+omega:
+       0     -6     -7     -1      8      7
+       6      0     -6     -7     -1      8
+       7      6      0     -6     -7     -1
+       1      7      6      0     -6     -7
+      -8      1      7      6      0     -6
+      -7     -8      1      7      6      0
+sv-criterion: inapplicable (|lc| = 7)
+""",
+    ("1^2,2^2,3", "7"): """\
+pair_id: 1^2,2^2,3|7
+f: 1^2,2^2,3 = 1,1,-1,-2,-1,1,1
+g: 7 = 1,1,1,1,1,1,1
+alpha: 0,0,1/3,1/2,1/2,2/3
+beta: 1/7,2/7,3/7,4/7,5/7,6/7
+lc: -2 (|lc| = 2)
+v: 0,-2,-3,-2,0,0
+gcd(v): 1
+omega:
+       0      4     -6      5     -5      6
+      -4      0      4     -6      5     -5
+       6     -4      0      4     -6      5
+      -5      6     -4      0      4     -6
+       5     -5      6     -4      0      4
+      -6      5     -5      6     -4      0
+sv-criterion: arithmetic by small leading coefficient (|lc| = 2)
+""",
+    ("1^6", "2^6"): """\
+pair_id: 1^6|2^6
+f: 1^6 = 1,-6,15,-20,15,-6,1
+g: 2^6 = 1,6,15,20,15,6,1
+alpha: 0,0,0,0,0,0
+beta: 1/2,1/2,1/2,1/2,1/2,1/2
+lc: -12 (|lc| = 12)
+v: -12,0,-40,0,-12,0
+gcd(v): 4
+omega:
+       0     -3      0      7      0    -63
+       3      0     -3      0      7      0
+       0      3      0     -3      0      7
+      -7      0      3      0     -3      0
+       0     -7      0      3      0     -3
+      63      0     -7      0      3      0
+sv-criterion: inapplicable (|lc| = 12)
+gcd obstruction: no witness word exists (gcd 4)
+""",
+}
+
+
+@pytest.mark.parametrize("f,g", sorted(ANALYZE_STDOUT))
+def test_analyze_stdout_bytes(capsys, f, g):
+    assert main(["analyze", "--f", f, "--g", g]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ANALYZE_STDOUT[f, g]
+    assert captured.err == ""
