@@ -11,8 +11,9 @@ appends a tombstone ``{"pair_id": P, "discard": true}``, each as one write
 to the file opened with O_APPEND, so processes sharing a file lose no
 lines.  Loading replays the lines in order: each record goes through the
 keep-better merge and each tombstone drops the pair's record so far.  A
-damaged line, such as one that is not UTF-8, is skipped, so a torn last
-line costs only its own record; an append after it starts with a newline.
+damaged line, such as one that is not UTF-8 or whose fields have the wrong
+type or an unknown kind, is skipped, so a torn last line costs only its
+own record; an append after it starts with a newline.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
+
+from .pairs import CLASS_KINDS
 
 ENV_VAR = "HGSP_CACHE"
 DEFAULT_FILENAME = "hgsp-cache.jsonl"
@@ -52,10 +55,12 @@ class CacheRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "CacheRecord":
-        return cls(
+        """The record of a cache line; ValueError when a field has the wrong
+        type (a bool is not an int) or the kind is not one of CLASS_KINDS."""
+        record = cls(
             pair_id=data["pair_id"],
-            degree=int(data["degree"]),
-            searched_depth=int(data["searched_depth"]),
+            degree=data["degree"],
+            searched_depth=data["searched_depth"],
             kind=data["kind"],
             witness=data.get("witness"),
             witness_length=data.get("witness_length"),
@@ -63,6 +68,12 @@ class CacheRecord:
             nodes=data.get("nodes"),
             created_at=data.get("created_at", ""),
         )
+        for name, types in _FIELD_TYPES.items():
+            if type(getattr(record, name)) not in types:
+                raise ValueError(f"cache field {name} has the wrong type")
+        if record.kind not in CLASS_KINDS:
+            raise ValueError(f"unknown cache record kind {record.kind!r}")
+        return record
 
     def settles(self, max_depth: int) -> bool:
         """Whether this record answers a search to the given depth."""
@@ -71,6 +82,12 @@ class CacheRecord:
         if self.kind == "arithmetic_witness":
             return self.witness_length is not None and self.witness_length <= max_depth
         return self.searched_depth >= max_depth
+
+
+# The types each field may take, from the annotations (Optional[int]: int, None)
+_FIELD_TYPES = {
+    name: get_args(hint) or (hint,) for name, hint in get_type_hints(CacheRecord).items()
+}
 
 
 class ResultCache:

@@ -79,12 +79,14 @@ class QualifiedPair:
         return self.f_fac.factors in keys or self.g_fac.factors in keys
 
 
+CLASS_KINDS = ("arithmetic_small_lc", "arithmetic_witness", "obstructed", "unknown")
+
+
 @dataclass(frozen=True)
 class PairClassification:
     """Result bucket for one pair.
 
-    kind is one of "arithmetic_small_lc", "arithmetic_witness", "obstructed"
-    and "unknown"; the remaining fields are filled per kind.
+    kind is one of CLASS_KINDS; the remaining fields are filled per kind.
     """
 
     kind: str
@@ -213,8 +215,11 @@ def enumerate_qualified_pairs(
     degree qualification is invariant under shift and swap, so the ordered
     pairs that are their own orbit minimum and pass make_pair, walked in
     encoding order, are the classes in order.  With mum_only, each maximally
-    unipotent class is listed as its mum_oriented member instead.
+    unipotent class is listed once, as its mum_oriented member; the shift
+    classes (1^n, g) and (g, 1^n) share it, so shift-and-swap classes are walked.
     """
+    if mum_only and convention == SHIFT:
+        convention = SHIFT_SWAP
     facs = enumerate_factorizations(degree)
     reps: list[QualifiedPair] = []
     for f_fac in facs:

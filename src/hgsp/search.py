@@ -26,14 +26,16 @@ plain dot products.  A word whose last entry passes is confirmed with 2k
 matrix-vector products, gamma(v) from its last letter back and
 gamma^-1(v) from its first letter on, and the independence test.
 
-The suffixes of length k + 1 are y s for each letter y and each suffix s
-of length k that may follow y, so they are built packed: cut the run of
-suffixes starting with y^-1 out of the length-k columns and apply L_y to
-those n big ints.  The bound grows by the largest column l1 norm of the
-letter matrices per letter.  Cutting or unpacking a field needs it below
-2^63, so a length whose bound reaches 2^63 keeps plain vectors, built
-with one matrix-vector product per suffix, and its blocks always take the
-plain walk.
+The block of length k that follows a letter x holds y s for each letter y
+allowed after x and each s in the block of length k - 1 that follows y, so
+it is three runs joined in letter order.  Each run L_y (block k - 1 after
+y) is built once per length, packed: L_y applied to the block's n packed
+columns.  Joining signed packings is exact whatever the fields' sizes: a
+run goes in shifted up by 64 bits per suffix before it.  The bound grows by
+the largest column l1 norm of the letter matrices per letter.  Reading a
+field back needs it below 2^63, so a length whose bound reaches 2^63 keeps
+plain vectors, built with one matrix-vector product per suffix, and its
+blocks always take the plain walk.
 
 Pruning rule: no tested word ends in B or starts with B^-1.  Proof:
 T = A^-1 B fixes e_1 .. e_{n-1} and Tv = v (v_n = 0 as f and g are
@@ -41,9 +43,10 @@ monic), so gamma, gamma T and T gamma share the last entry and the span
 {v, gamma(v), gamma^-1(v)}; as B = AT and B^-1 = T^-1 A^-1, uB passes iff
 uA does and B^-1 u iff A^-1 u, and the A-version comes first in the
 order or reduces to a word two letters shorter.  So no block holds a
-suffix ending in B, the root skips B^-1, and with workers each level
-deeper than 4 is split over the 81 reduced words of length 4 that do
-not start with B^-1.  With all_at_min_depth the passing words found are
+suffix ending in B (the empty suffix does not follow B), the root skips
+B^-1, and with workers each level deeper than 4 is split over the 81
+reduced words of length 4 that do not start with B^-1, whose rows each
+worker steps once.  With all_at_min_depth the passing words found are
 closed under both swaps (a final A becomes B, a first A^-1 becomes B^-1);
 at the minimal depth every swapped word is reduced, since otherwise a
 word two letters shorter would pass.
@@ -57,8 +60,8 @@ import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, reduce
+from itertools import product
 from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
@@ -83,6 +86,12 @@ _ALLOWED = tuple(
 )
 # The root is scanned as if it followed a B: neither is followed by B^-1.
 _ROOT_LAST = B
+# The reduced words of length _PIVOT_DEPTH that do not start with B^-1, in
+# lexicographic order: with workers, every deeper level is split over them.
+_PREFIXES = tuple(
+    p for p in product(_ALL_LETTERS, repeat=_PIVOT_DEPTH)
+    if all(y in _ALLOWED[x] for x, y in zip((_ROOT_LAST,) + p, p))
+)
 
 
 @dataclass(frozen=True)
@@ -186,30 +195,22 @@ def _fields(values) -> int:
     return int.from_bytes(array("Q", [x + _HALF for x in values]).tobytes(), sys.byteorder)
 
 
-def _high(packed: int, start: int) -> int:
-    """The packing of fields start, start + 1, ... of a packing whose fields
-    are all below 2^63 in size: the fields below start sum to less than
-    2^(64 start - 1) in size, so rounding to a multiple of 2^(64 start)
-    drops exactly them."""
-    return (packed + (1 << 64 * start >> 1)) >> 64 * start
-
-
 class _Block:
     """Reduced suffixes s of one length that do not end in B, in
     lexicographic order, with w_s = L_s v and a proven bound l1 on every
     |w_s|_1.
 
     With j the position of s, columns[i] = sum_s w_s[i] 2^(64 j), a signed
-    packing; it is kept only when l1 < 2^63, so each field w_s[i] can be cut
-    out or read back.  If max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field
-    j of sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no
-    carry.
+    packing; it is kept only when l1 < 2^63, so each field w_s[i] can be read
+    back.  If max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field j of
+    sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no carry.
     """
 
     def __init__(self, suffixes, l1: int, columns=None, vectors=None):
         self.suffixes = suffixes
         self.l1 = l1
-        self.columns = columns  # None: too wide to pack, every row takes the plain test
+        # None: too wide to pack, every row takes the plain test
+        self.columns = columns if l1 < _HALF else None
         self.bias = _fields([0] * len(suffixes))
         if vectors is not None:
             self.vectors = vectors
@@ -220,15 +221,6 @@ class _Block:
         size = 8 * len(self.suffixes)
         coords = [array("Q", (c + self.bias).to_bytes(size, sys.byteorder)) for c in self.columns]
         return tuple(tuple(x - _HALF for x in w) for w in zip(*coords))
-
-    def without(self, start: int, stop: int) -> _Block:
-        """This block less the suffixes at positions start .. stop - 1."""
-        suffixes = self.suffixes[:start] + self.suffixes[stop:]
-        if self.columns is None:
-            return _Block(suffixes, self.l1, vectors=self.vectors[:start] + self.vectors[stop:])
-        return _Block(suffixes, self.l1, tuple(
-            c + ((_high(c, stop) - _high(c, start)) << 64 * start) for c in self.columns
-        ))
 
     def candidates(self, row) -> list[int]:
         """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending."""
@@ -246,7 +238,7 @@ class _Block:
 
 class _Engine:
     """Shared state for one search: each letter's row plan, and the suffix
-    levels and blocks, built on first use."""
+    blocks and the runs they are joined from, built on first use."""
 
     def __init__(self, gen: GeneratorPair, v: Vector):
         self.v = v
@@ -256,50 +248,50 @@ class _Engine:
         # |L w|_1 <= norm |w|_1 for every letter matrix L
         self.norm = max(sum(map(abs, col)) for m in self.mats for col in zip(*m))
         self.root = (0,) * (gen.degree - 1) + (1,)
-        # Level k: every reduced suffix of length k that does not end in B,
-        # and where the run of suffixes starting with each letter begins.
-        # The empty suffix counts as starting with B^-1: nothing ends in B.
+        # The empty suffix may follow every letter except B: no tested word
+        # ends in B.
         l1 = sum(map(abs, v))
-        self.levels = [(
-            _Block(((),), l1, v) if l1 < _HALF else _Block(((),), l1, vectors=(v,)),
-            (0, 0, 0, 0, 1),
-        )]
-        self.blocks: dict[tuple[int, int], _Block] = {}  # by (length, previous letter)
+        self.blocks: dict[tuple[int, int], _Block] = {  # by (length, previous letter)
+            (0, x): _Block((), l1, (0,) * len(v), ()) if x == B else _Block(((),), l1, v, (v,))
+            for x in _ALL_LETTERS
+        }
+        self.runs: dict[tuple[int, int], _Block] = {}  # by (length, first letter)
 
     def _step(self, row, letter: int):
         return _apply(self.plans[letter], row)
 
-    def _level(self, k: int):
-        """Level k + 1 is L_y applied to the block of level k that may follow
-        y, for each letter y in turn; packed, that is n big-int
-        combinations of the block's columns per letter."""
-        while len(self.levels) <= k:
-            parts = [self.block(len(self.levels) - 1, y) for y in _ALL_LETTERS]
-            suffixes = tuple((y,) + s for y in _ALL_LETTERS for s in parts[y].suffixes)
-            starts = tuple(accumulate((len(p.suffixes) for p in parts), initial=0))
-            l1 = self.norm * parts[0].l1
+    def _run(self, k: int, y: int) -> _Block:
+        """The suffixes y s of length k: L_y applied to block (k - 1, y); packed,
+        that is n big-int combinations of the block's columns."""
+        key = (k, y)
+        if key not in self.runs:
+            part = self.block(k - 1, y)
+            suffixes = tuple((y,) + s for s in part.suffixes)
+            l1 = self.norm * part.l1
             if l1 < _HALF:
-                columns = tuple(
-                    sum(c << 64 * start for c, start in zip(coords, starts))
-                    for coords in zip(*(
-                        _apply(self.vec_plans[y], parts[y].columns) for y in _ALL_LETTERS
-                    ))
-                )
-                level = _Block(suffixes, l1, columns)
+                self.runs[key] = _Block(suffixes, l1, _apply(self.vec_plans[y], part.columns))
             else:
-                level = _Block(suffixes, l1, vectors=tuple(
-                    mat_vec(self.mats[y], w) for y in _ALL_LETTERS for w in parts[y].vectors
-                ))
-            self.levels.append((level, starts))
-        return self.levels[k]
+                vectors = tuple(mat_vec(self.mats[y], w) for w in part.vectors)
+                self.runs[key] = _Block(suffixes, l1, vectors=vectors)
+        return self.runs[key]
 
     def block(self, k: int, last: int) -> _Block:
-        """Level k less the suffixes starting with last's inverse."""
+        """The runs of length k whose first letter may follow last, joined in
+        letter order: each run's signed packing moves up 64 bits for every
+        suffix in the runs before it."""
         key = (k, last)
         if key not in self.blocks:
-            level, starts = self._level(k)
-            banned = inverse_letter(last)
-            self.blocks[key] = level.without(starts[banned], starts[banned + 1])
+            runs = [self._run(k, y) for y in _ALLOWED[last]]
+            suffixes = tuple(s for run in runs for s in run.suffixes)
+            if runs[0].columns is None:
+                vectors = tuple(w for run in runs for w in run.vectors)
+                self.blocks[key] = _Block(suffixes, runs[0].l1, vectors=vectors)
+            else:
+                columns, shift = runs[0].columns, 0
+                for below, run in zip(runs, runs[1:]):
+                    shift += 64 * len(below.suffixes)
+                    columns = tuple(c + (d << shift) for c, d in zip(columns, run.columns))
+                self.blocks[key] = _Block(suffixes, runs[0].l1, columns)
         return self.blocks[key]
 
     def scan(self, row, last: int, remaining: int, path: list[int],
@@ -323,40 +315,23 @@ class _Engine:
             self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)
             path.pop()
 
-    def prefixes(self, depth: int):
-        """The reduced words of the given length that do not start with B^-1,
-        with their last rows, in lexicographic order."""
-        out = []
-
-        def rec(row, last, remaining, path):
-            if remaining == 0:
-                out.append((tuple(path), last, row))
-                return
-            for y in _ALLOWED[last]:
-                path.append(y)
-                rec(self._step(row, y), y, remaining - 1, path)
-                path.pop()
-
-        rec(self.root, _ROOT_LAST, depth, [])
-        return out
-
 
 # Worker-side state, installed once per process by the pool initializer.
 _WORKER_ENGINE: Optional[_Engine] = None
-_WORKER_PREFIXES = None
+_WORKER_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}  # the last row of each prefix
 
 
 def _worker_init(gen, v):
-    global _WORKER_ENGINE, _WORKER_PREFIXES
-    _WORKER_ENGINE = _Engine(gen, v)
-    _WORKER_PREFIXES = _WORKER_ENGINE.prefixes(_PIVOT_DEPTH)
+    global _WORKER_ENGINE, _WORKER_ROWS
+    _WORKER_ENGINE = engine = _Engine(gen, v)
+    _WORKER_ROWS = {p: reduce(engine._step, p, engine.root) for p in _PREFIXES}
 
 
 def _worker_scan(args):
-    index, depth, collect_all = args
-    letters, last, row = _WORKER_PREFIXES[index]
+    letters, depth, collect_all = args
     hits: list[tuple[int, ...]] = []
-    _WORKER_ENGINE.scan(row, last, depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
+    row = _WORKER_ROWS[letters]
+    _WORKER_ENGINE.scan(row, letters[-1], depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
     return hits
 
 
@@ -391,7 +366,6 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
             pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(gen, v),
             )
-            prefix_count = 3 ** _PIVOT_DEPTH  # the prefixes not starting with B^-1
         nodes_total = 0
         per_depth: list[tuple[int, int]] = []
         for depth in range(1, cfg.max_depth + 1):
@@ -400,8 +374,8 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
                 raise NodeBudgetExceeded(depth - 1, nodes_total)
             hits: list[tuple[int, ...]] = []
             if pool is not None and depth > _PIVOT_DEPTH:
-                tasks = ((i, depth, cfg.all_at_min_depth) for i in range(prefix_count))
-                chunk = max(1, prefix_count // (4 * workers))
+                tasks = ((p, depth, cfg.all_at_min_depth) for p in _PREFIXES)
+                chunk = max(1, len(_PREFIXES) // (4 * workers))
                 for sub_hits in pool.map(_worker_scan, tasks, chunksize=chunk):
                     hits.extend(sub_hits)
             else:

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 
+import pytest
+
 from hgsp.cache import (
     DEFAULT_FILENAME,
     ENV_VAR,
@@ -184,6 +186,25 @@ def test_lines_that_are_not_utf8_are_ignored(tmp_path):
     cache = ResultCache(path)
     assert cache.lookup(good.pair_id, max_depth=1) == good
     assert cache.lookup("x|y", max_depth=1) is None
+
+
+@pytest.mark.parametrize("fields", [
+    {"searched_depth": 1e999},  # a float, and not even a finite one
+    {"kind": "arithmetic_witness", "witness": "A", "witness_length": "x"},
+    {"kind": "arithmetic_witness", "witness": 5, "witness_length": 1},
+    {"nodes": True},  # a bool is not an int
+    {"kind": "arithmetic", "searched_depth": 20},  # not one of the four kinds
+])
+def test_lines_with_a_wrong_type_or_kind_are_ignored(tmp_path, fields):
+    path = tmp_path / "c.jsonl"
+    good = record(pair_id="1^6|3,8", searched_depth=6)
+    bad = json.loads(json.dumps({**record(searched_depth=6).to_json(), **fields}))
+    with pytest.raises(ValueError):
+        CacheRecord.from_json(bad)
+    path.write_text(json.dumps(good.to_json()) + "\n" + json.dumps(bad) + "\n")
+    cache = ResultCache(path)
+    assert cache.lookup(good.pair_id, max_depth=6) == good
+    assert cache.lookup(bad["pair_id"], max_depth=1) is None
 
 
 def test_default_cache_path_env_override(monkeypatch, tmp_path):

@@ -256,6 +256,26 @@ def test_search_cache_skips_a_line_that_is_not_utf8(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["cached"] is True
 
 
+def test_search_cache_skips_lines_with_a_wrong_type_or_kind(tmp_path, capsys):
+    # a wrong type must not reach the settles test or the certificate, and
+    # a record of an unknown kind must not be served
+    for i, fields in enumerate([
+        {"searched_depth": 1e999, "kind": "unknown"},
+        {"kind": "arithmetic_witness", "witness": "A", "witness_length": "x"},
+        {"kind": "arithmetic_witness", "witness": 5, "witness_length": 1},
+        {"kind": "arithmetic", "searched_depth": 20},
+    ]):
+        cache = tmp_path / f"cache-{i}.jsonl"
+        cache.write_text(json.dumps({
+            "pair_id": "1^6|3,6^2", "degree": 6, "searched_depth": 1, **fields,
+        }) + "\n")
+        rc, out, err = run(capsys, "search", "--f", "1^6", "--g", "3,6^2",
+                           "--max-depth", "3", "--cache", str(cache))
+        assert rc == 0 and err == "", fields
+        blob = json.loads(out)
+        assert "cached" not in blob and blob["word"] == "B^2A", fields
+
+
 def _search_refused_for_cache(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(["search", "--f", "1^6", "--g", "3,6^2", "--max-depth", "2", *argv])

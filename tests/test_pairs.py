@@ -107,6 +107,16 @@ def test_census_shift_only_convention():
     assert len(enumerate_qualified_pairs(6, SHIFT)) == 906
 
 
+@pytest.mark.parametrize("degree", [4, 6])
+def test_mum_list_is_the_same_under_both_conventions(degree):
+    # the shift classes (1^n, g) and (g, 1^n) have one mum-oriented member,
+    # listed once
+    shift = enumerate_qualified_pairs(degree, SHIFT, mum_only=True)
+    both = enumerate_qualified_pairs(degree, SHIFT_SWAP, mum_only=True)
+    assert [p.pair_id for p in shift] == [p.pair_id for p in both]
+    assert len({p.pair_id for p in shift}) == len(shift) == {4: 14, 6: 40}[degree]
+
+
 def test_census_rejects_unknown_convention():
     with pytest.raises(ValueError):
         enumerate_qualified_pairs(6, "reflect")

@@ -1,16 +1,22 @@
-"""Byte-level pins on enumeration and analyze output.
+"""Byte-level pins on enumeration, analyze and search output.
 
-The digests and texts below were captured from the implementation in which
-enumeration restated the qualification rule inline; they hold any later
-rewrite of the pair layer to the same classes, order and records.
+The enumeration and analyze digests and texts were captured from the
+implementation in which enumeration restated the qualification rule inline;
+they hold any later rewrite of the pair layer to the same classes, order and
+records.  The shift-only --mum digests equal the shift-and-swap ones: each
+maximally unipotent class is listed once under either convention.  The search digests were captured from the engine that cut each
+suffix block out of a per-length level; they hold any later rewrite of the
+search to the same outcomes.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from hgsp.cli import main
 from hgsp.pairs import SHIFT, SHIFT_SWAP, enumerate_qualified_pairs
+from hgsp.search import SearchConfig, search_witness
 
 
 def sha256(text: str) -> str:
@@ -19,11 +25,11 @@ def sha256(text: str) -> str:
 
 ENUMERATE_STDOUT = {
     (4, SHIFT, False): "3a6adc387e40f533a320f27cc21d9264d59ed20e1b63abcb901969b0a50242e9",
-    (4, SHIFT, True): "d4a2fb6728063fbc564ce3dd9273d4655ae0b03a3095b8ef08363e61dec6303d",
+    (4, SHIFT, True): "6ba8211b6f387da0372d422e5a6f0336ac6ab9e62fdccd6e6ed241d404d8d63e",
     (4, SHIFT_SWAP, False): "ae3afcaf615c1b738db0e55b0dff4940b6dfa3e587be7765cea453a3353db17f",
     (4, SHIFT_SWAP, True): "6ba8211b6f387da0372d422e5a6f0336ac6ab9e62fdccd6e6ed241d404d8d63e",
     (6, SHIFT, False): "18e045aee40b9817714f58b5bb8f227044bc713d8449a5fb4a4ed0ffabdb4c8a",
-    (6, SHIFT, True): "f1ce454afbfbb991f6987db02dc9cefdf9235e4d735b6928a224ccdb109a41bc",
+    (6, SHIFT, True): "6790bcc5ae7b303eb43f7d209e7c0290d4d279f83d077dfc93e72b539bc62841",
     (6, SHIFT_SWAP, False): "db80c3b89e3b99e3d2fc1f16886ca930c708b8a2fab11bb76137eaf7ced882ce",
     (6, SHIFT_SWAP, True): "6790bcc5ae7b303eb43f7d209e7c0290d4d279f83d077dfc93e72b539bc62841",
 }
@@ -111,3 +117,21 @@ def test_analyze_stdout_bytes(capsys, f, g):
     captured = capsys.readouterr()
     assert captured.out == ANALYZE_STDOUT[f, g]
     assert captured.err == ""
+
+
+SEARCH_OUTCOMES = {
+    SearchConfig(max_depth=8):
+        "42ddde6d3579b30be936687497d99450b1a0c927c5afad92224de810d36422e2",
+    SearchConfig(max_depth=7, all_at_min_depth=True):
+        "0660222a209cdcb8ffa87d31719a771a24fb4127d3cf3764b8346440dcdbef4a",
+}
+
+
+@pytest.mark.parametrize("cfg", list(SEARCH_OUTCOMES), ids=["depth-8", "depth-7-all"])
+def test_search_outcomes_digest(cfg):
+    # every degree-6 class left to witness search (|lc| >= 3), in
+    # enumeration order: status, word, images, gcd and per-depth counts
+    pairs = [p for p in enumerate_qualified_pairs(6) if abs(p.lc) >= 3]
+    assert len(pairs) == 247
+    outcomes = [search_witness(p, cfg).to_json() for p in pairs]
+    assert sha256(json.dumps(outcomes)) == SEARCH_OUTCOMES[cfg]

@@ -16,6 +16,7 @@ from hgsp.linalg import mat_vec
 from hgsp.pairs import enumerate_qualified_pairs, make_pair
 from hgsp.search import (
     _BLOCK_DEPTH,
+    _PREFIXES,
     FOUND,
     NOT_FOUND,
     OBSTRUCTED,
@@ -347,12 +348,10 @@ def test_blocks_hold_the_reduced_suffixes_in_order():
 
 
 def test_worker_prefixes_skip_a_first_b_inverse():
-    _, engine = BLOCK_ENGINES[0]
-    prefixes = [letters for letters, _, _ in engine.prefixes(4)]
-    assert prefixes == [
+    assert list(_PREFIXES) == [
         s for s in product(range(4), repeat=4) if _reduced(s) and s[0] != B_INV
     ]
-    assert len(prefixes) == 108 - 27
+    assert len(_PREFIXES) == 108 - 27
 
 
 @st.composite
