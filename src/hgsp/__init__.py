@@ -44,7 +44,7 @@ from .search import (
     gcd_obstruction,
     search_witness,
 )
-from .words import Word, WordSyntaxError, evaluate_word
+from .words import Word, WordSyntaxError
 
 __all__ = [
     "CertificateReport",
@@ -69,7 +69,6 @@ __all__ = [
     "canonical_representative",
     "cyclotomic_poly",
     "enumerate_qualified_pairs",
-    "evaluate_word",
     "factorization_from_parameters",
     "factorization_from_poly",
     "gcd_obstruction",

@@ -15,12 +15,25 @@ restrictions take the shapes
            (0 0  1)             (0 c 1)             (0 l3 m3)
 
 with l1 nonzero and the lower right 2x2 block U of C3|W unipotent
-(tr U = 2 and det U = 1).  All of this runs in exact integer arithmetic:
-the three restrictions come from one fraction-free solve of the 3x3 Gram
-system of {e, w1, w2}, scaled by its determinant d, and rebuilding every
-image from its coordinates shows whether it lies in W at all.  Fractions
-appear only in the reported matrix entries.  The report carries one flag
-per check plus the computed objects, and the verdict is their conjunction.
+(tr U = 2 and det U = 1).
+
+No n x n matrix is ever multiplied.  The companion matrices A and B share
+their first n - 1 columns, so B - A = x e_n^T for x its last column, and
+C1 = A^-1 B = I + (A^-1 x) e_n^T = I + v e_n^T exactly.  Conjugating,
+
+    C2 = I + w2 r2^T with r2^T = e_n^T gamma,
+    C3 = I + w3 r3^T with r3^T = e_n^T gamma^-1,
+
+and w2, w3, r2, r3 take one matrix-vector product per letter each.  A map
+I + u r^T is a transvection (rank(C - I) = 1 and (C - I)^2 = 0) exactly
+when u and r are nonzero and r . u = 0, since (u r^T)^2 = (r . u) u r^T,
+and it sends b to b + (r . b) u.  All of this runs in exact integer
+arithmetic: the three restrictions come from one fraction-free solve of
+the 3x3 Gram system of {e, w1, w2}, scaled by its determinant d, and
+rebuilding every image from its coordinates shows whether it lies in W at
+all.  Fractions appear only in the reported matrix entries.  The report
+carries one flag per check plus the computed objects, and the verdict is
+their conjunction.
 """
 
 from __future__ import annotations
@@ -30,15 +43,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hgroup import (
-    build_generators,
-    invariant_symplectic_form,
-    is_transvection,
-    transvection_vector,
-)
-from .linalg import Matrix, Vector, linearly_independent, mat_mul, mat_vec, solve_scaled
+from .hgroup import build_generators, invariant_symplectic_form, transvection_vector
+from .linalg import Matrix, Vector, linearly_independent, solve_scaled, transpose
 from .pairs import QualifiedPair
-from .words import Word, evaluate_word
+from .words import Word, word_images
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -115,8 +123,23 @@ def _primitive(vec: Sequence[int]) -> Vector:
     return tuple(sign * x // g for x in vec)
 
 
+RankOne = tuple[Vector, Vector]  # (u, r) for the map I + u r^T
+
+
+def _transvection(u: Vector, r: Vector) -> bool:
+    """Whether I + u r^T is a transvection: u, r nonzero and r . u = 0."""
+    return any(u) and any(r) and _dot(r, u) == 0
+
+
+def _image(m: RankOne, b: Vector) -> Vector:
+    """(I + u r^T) b = b + (r . b) u."""
+    u, r = m
+    t = _dot(r, b)
+    return tuple(x + t * y for x, y in zip(b, u))
+
+
 def _scaled_restrictions(
-    basis: Sequence[Vector], maps: Sequence[Matrix]
+    basis: Sequence[Vector], maps: Sequence[RankOne]
 ) -> tuple[int, list[Optional[Matrix]]]:
     """(d, [d * M|span(basis) for M in maps]) for d the Gram determinant.
 
@@ -125,7 +148,7 @@ def _scaled_restrictions(
     exactly when B (d x) == d y, and a map with an image outside it gets
     None.  d is 0 exactly when the basis is dependent.
     """
-    images = [mat_vec(m, b) for m in maps for b in basis]
+    images = [_image(m, b) for m in maps for b in basis]
     gram = tuple(tuple(_dot(x, y) for y in basis) for x in basis)
     d, xs = solve_scaled(gram, [[_dot(b, y) for y in images] for b in basis])
     if d == 0:
@@ -146,18 +169,17 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
     v = transvection_vector(gen)
     form = invariant_symplectic_form(gen, v)
     n = gen.degree
-    gamma = evaluate_word(word, gen)
-    gamma_inv = evaluate_word(word.inverse(), gen)
+    mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
+    unit = lambda j: tuple(1 if i == j else 0 for i in range(n))
     w1 = v
-    w2 = mat_vec(gamma_inv, v)
-    w3 = mat_vec(gamma, v)
+    w3, w2 = word_images(mats, v, word.letters)
+    r2, r3 = word_images(tuple(map(transpose, mats)), unit(n - 1), word.letters[::-1])
     c = w3[n - 1]
 
     checks: dict[str, Optional[bool]] = dict.fromkeys(CHECK_ORDER)
     checks["last_entry"] = c in (1, -1, 2, -2)
     checks["independence"] = linearly_independent((w1, w2, w3))
 
-    unit = lambda j: tuple(1 if i == j else 0 for i in range(n))
     omega_v_en = form.pairing(v, unit(n - 1))
     checks["omega_v_prefix_zero"] = all(
         form.pairing(v, unit(j)) == 0 for j in range(n - 1)
@@ -165,12 +187,9 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
     checks["omega_v_last_nonzero"] = omega_v_en != 0
     checks["omega_word_relation"] = form.pairing(w3, v) == -c * omega_v_en
 
-    c1 = mat_mul(gen.a_inv, gen.b)
-    c2 = mat_mul(mat_mul(gamma_inv, c1), gamma)
-    c3 = mat_mul(mat_mul(gamma, c1), gamma_inv)
-    checks["c1_transvection"] = is_transvection(c1)
-    checks["c2_transvection"] = is_transvection(c2)
-    checks["c3_transvection"] = is_transvection(c3)
+    conjugates = ((v, unit(n - 1)), (w2, r2), (w3, r3))  # C1, C2, C3
+    for name, (u, r) in zip(("c1", "c2", "c3"), conjugates):
+        checks[name + "_transvection"] = _transvection(u, r)
 
     radical_dim: Optional[int] = None
     e_vec: Optional[Vector] = None
@@ -191,12 +210,10 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
             e_vec = _primitive(
                 tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
             )
-            d, scaled = _scaled_restrictions((e_vec, w1, w2), (c1, c2, c3))
+            d, scaled = _scaled_restrictions((e_vec, w1, w2), conjugates)
             checks["basis"] = d != 0
             if checks["basis"]:
-                checks["fixed_e"] = all(
-                    mat_vec(m, e_vec) == e_vec for m in (c1, c2, c3)
-                )
+                checks["fixed_e"] = all(_image(m, e_vec) == e_vec for m in conjugates)
                 restrictions = [
                     None if s is None
                     else tuple(tuple(Fraction(x, d) for x in row) for row in s)

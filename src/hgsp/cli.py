@@ -271,13 +271,19 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _certified(pair: QualifiedPair, record: CacheRecord) -> bool:
-    """Whether a cached record may be served: a witness must pass its
-    full certificate again and an obstruction must match gcd(v)."""
+    """Whether a cached record may be served: it must be for the pair's
+    degree, a small-lc record needs |lc| <= 2, an obstruction must match
+    gcd(v) and a witness must pass its full certificate again.  An unknown
+    record is trusted as "not found up to its depth"."""
+    if record.degree != pair.degree:
+        return False
+    if record.kind == "unknown":
+        return True
+    if record.kind == "arithmetic_small_lc":
+        return abs(pair.lc) <= 2
     if record.kind == "obstructed":
         v = transvection_vector(build_generators(pair))
         return gcd_obstruction(v) == record.gcd
-    if record.kind != "arithmetic_witness":
-        return True
     try:
         word = Word.parse(record.witness or "")
     except (WordSyntaxError, NotReducedError):
@@ -314,6 +320,15 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except NodeBudgetExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 1
+    if outcome.status == FOUND:
+        report = verify_witness(pair, outcome.word)
+        if not report.verdict:
+            print(
+                f"search found {outcome.word}, but its certificate fails at "
+                f"{report.first_failure}",
+                file=sys.stderr,
+            )
+            return 1
     cls_kind = {FOUND: "arithmetic_witness", OBSTRUCTED: "obstructed"}.get(
         outcome.status, "unknown"
     )

@@ -20,11 +20,8 @@ from .linalg import (
     companion_inverse,
     companion_matrix,
     determinant,
-    identity_matrix,
     mat_mul,
-    mat_sub,
     mat_vec,
-    rank,
     solve_scaled,
     transpose,
 )
@@ -49,9 +46,6 @@ class GeneratorPair:
     a_inv: Matrix
     b_inv: Matrix
     degree: int
-
-    def letter_matrix(self, code: int) -> Matrix:
-        return (self.a, self.b, self.a_inv, self.b_inv)[code]
 
 
 @dataclass(frozen=True)
@@ -82,16 +76,6 @@ def transvection_vector(gen: GeneratorPair) -> Vector:
     """v = (A^-1 B - I) e_n, the direction of the transvection A^-1 B."""
     c_en = mat_vec(gen.a_inv, tuple(row[-1] for row in gen.b))
     return c_en[:-1] + (c_en[-1] - 1,)
-
-
-def is_transvection(c: Matrix) -> bool:
-    """rank(C - I) = 1 and (C - I)^2 = 0."""
-    n = len(c)
-    d = mat_sub(c, identity_matrix(n))
-    if rank(d) != 1:
-        return False
-    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return mat_mul(d, d) == zero
 
 
 # -- invariant form -----------------------------------------------------------

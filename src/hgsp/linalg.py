@@ -27,10 +27,6 @@ class NonUnimodularError(ValueError):
         super().__init__(f"matrix is not unimodular (determinant {determinant})")
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
@@ -44,10 +40,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch in matrix-vector product")
     return tuple([sum(map(mul, row, v)) for row in a])
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def transpose(a: Matrix) -> Matrix:

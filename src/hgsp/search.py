@@ -67,7 +67,7 @@ from typing import Optional
 from .hgroup import GeneratorPair, build_generators, transvection_vector
 from .linalg import Matrix, Vector, linearly_independent, mat_vec, transpose
 from .pairs import QualifiedPair, gcd_obstruction
-from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, evaluate_word, inverse_letter
+from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, inverse_letter, word_images
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -109,7 +109,6 @@ class SearchOutcome:
     nodes_visited: int
     nodes_per_depth: tuple[tuple[int, int], ...]
     word: Optional[Word] = None
-    matrix: Optional[Matrix] = None
     gamma_v: Optional[Vector] = None
     gamma_inv_v: Optional[Vector] = None
     gcd: Optional[int] = None
@@ -168,16 +167,6 @@ def _apply(plan, x):
         x[item] if type(item) is int else sum(c * x[i] for i, c in item)
         for item in plan
     ])
-
-
-def _images(mats, v: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
-    """gamma(v) and gamma^-1(v) for the word, one letter matrix at a time."""
-    gv = giv = v
-    for y in reversed(letters):
-        gv = mat_vec(mats[y], gv)
-    for y in letters:
-        giv = mat_vec(mats[inverse_letter(y)], giv)
-    return gv, giv
 
 
 def _close_hits(hits) -> list[tuple[int, ...]]:
@@ -305,7 +294,7 @@ class _Engine:
             block = self.block(remaining, last)
             for j in block.candidates(row):
                 word = tuple(path) + block.suffixes[j]
-                if linearly_independent((self.v, *_images(self.mats, self.v, word))):
+                if linearly_independent((self.v, *word_images(self.mats, self.v, word))):
                     hits.append(word)
                     if not collect_all:
                         break
@@ -383,15 +372,13 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
             nodes_total += count
             per_depth.append((depth, count))
             if hits:
-                word = Word(hits[0])
-                gamma_v, gamma_inv_v = _images(engine.mats, v, hits[0])
+                gamma_v, gamma_inv_v = word_images(engine.mats, v, hits[0])
                 return SearchOutcome(
                     status=FOUND,
                     max_depth=cfg.max_depth,
                     nodes_visited=nodes_total,
                     nodes_per_depth=tuple(per_depth),
-                    word=word,
-                    matrix=evaluate_word(word, gen),
+                    word=Word(hits[0]),
                     gamma_v=gamma_v,
                     gamma_inv_v=gamma_inv_v,
                     words_at_depth=(

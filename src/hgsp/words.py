@@ -8,7 +8,8 @@ exponents, as in "(A^2B)^-1", are also accepted on input so that witness
 words quoted from tables paste straight in.  Words that are not reduced
 are rejected rather than silently cancelled, and so is any text that
 would expand to more than MAX_WORD_LENGTH letters or nests groups deeper
-than MAX_NESTING.
+than MAX_NESTING.  A word acts on vectors through word_images, one
+matrix-vector product per letter; the library never forms its matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .hgroup import GeneratorPair
-from .linalg import Matrix, identity_matrix, mat_mul
+from .linalg import Vector, mat_vec
 
 A, B, A_INV, B_INV = 0, 1, 2, 3
 LETTER_NAMES = ("A", "B", "A^-1", "B^-1")
@@ -170,9 +170,12 @@ def _parse_sequence(text: str, pos: int, depth: int) -> tuple[list[int], int]:
     return letters, pos
 
 
-def evaluate_word(word: Word, gen: GeneratorPair) -> Matrix:
-    """Left-to-right product of the generator matrices named by the word."""
-    m = identity_matrix(gen.degree)
-    for code in word.letters:
-        m = mat_mul(m, gen.letter_matrix(code))
-    return m
+def word_images(mats, x: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
+    """gamma(x) and gamma^-1(x) for gamma the word's left-to-right product
+    of mats[letter], one matrix-vector product per letter each."""
+    gx = gix = x
+    for y in reversed(letters):
+        gx = mat_vec(mats[y], gx)
+    for y in letters:
+        gix = mat_vec(mats[inverse_letter(y)], gix)
+    return gx, gix

@@ -18,6 +18,12 @@ depth bounds.
 ``solve_unimodular`` and ``unimodular_inverse`` solve with a generic
 unimodular matrix through ``hgsp.linalg.solve_scaled``; the library only
 ever inverts companion matrices, in closed form.
+
+``matrix_certificate`` is the witness certificate
+(``hgsp.certify.verify_witness``) computed on full n x n products: gamma and
+gamma^-1 from ``evaluate_word``, the conjugates C1, C2, C3 as matrices, and
+``is_transvection`` from a rank and a square.  The library writes the
+conjugates in rank-one form instead; both must give the same report.
 """
 
 from __future__ import annotations
@@ -28,20 +34,59 @@ from math import gcd
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from hgsp.hgroup import GeneratorPair, build_generators, transvection_vector
+from hgsp.certify import CHECK_ORDER, CertificateReport, RatMatrix, _dot, _primitive
+from hgsp.hgroup import (
+    GeneratorPair,
+    build_generators,
+    invariant_symplectic_form,
+    transvection_vector,
+)
 from hgsp.linalg import (
     Matrix,
     NonUnimodularError,
     Vector,
     _bareiss_echelon,
-    identity_matrix,
     linearly_independent,
     mat_mul,
     mat_vec,
+    rank,
     solve_scaled,
 )
 from hgsp.pairs import QualifiedPair
-from hgsp.words import Word, evaluate_word, inverse_letter
+from hgsp.words import Word, inverse_letter
+
+
+# -- matrix products -----------------------------------------------------------
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def letter_matrix(gen: GeneratorPair, code: int) -> Matrix:
+    return (gen.a, gen.b, gen.a_inv, gen.b_inv)[code]
+
+
+def evaluate_word(word: Word, gen: GeneratorPair) -> Matrix:
+    """Left-to-right product of the generator matrices named by the word."""
+    m = identity_matrix(gen.degree)
+    for code in word.letters:
+        m = mat_mul(m, letter_matrix(gen, code))
+    return m
+
+
+def is_transvection(c: Matrix) -> bool:
+    """rank(C - I) = 1 and (C - I)^2 = 0."""
+    n = len(c)
+    d = mat_sub(c, identity_matrix(n))
+    if rank(d) != 1:
+        return False
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    return mat_mul(d, d) == zero
 
 
 # -- unimodular solves --------------------------------------------------------
@@ -278,7 +323,7 @@ def reference_search(pair: QualifiedPair, max_depth: int) -> ReferenceResult:
             if last is not None and y == inverse_letter(last):
                 continue
             path.append(y)
-            hit = walk(mat_mul(m, gen.letter_matrix(y)), path, y)
+            hit = walk(mat_mul(m, letter_matrix(gen, y)), path, y)
             if hit is not None:
                 return hit
             path.pop()
@@ -288,3 +333,133 @@ def reference_search(pair: QualifiedPair, max_depth: int) -> ReferenceResult:
     if hit is None:
         return ReferenceResult(found=False, word=None, nodes=counter[0])
     return ReferenceResult(found=True, word=Word(hit), nodes=counter[0])
+
+
+# -- matrix-product certificate ------------------------------------------------
+
+
+def _scaled_restrictions(
+    basis: Sequence[Vector], maps: Sequence[Matrix]
+) -> tuple[int, list[Optional[Matrix]]]:
+    """(d, [d * M|span(basis) for M in maps]) for d the Gram determinant.
+
+    The Gram system G x = B^T y, solved once for every image y, gives
+    the coordinates of y's projection onto the span; y lies in the span
+    exactly when B (d x) == d y, and a map with an image outside it gets
+    None.  d is 0 exactly when the basis is dependent.
+    """
+    images = [mat_vec(m, b) for m in maps for b in basis]
+    gram = tuple(tuple(_dot(x, y) for y in basis) for x in basis)
+    d, xs = solve_scaled(gram, [[_dot(b, y) for y in images] for b in basis])
+    if d == 0:
+        return 0, [None] * len(maps)
+    inside = [
+        all(_dot(x, col) == d * yi for col, yi in zip(zip(*basis), y))
+        for x, y in zip(xs, images)
+    ]
+    k = len(basis)
+    return d, [
+        tuple(zip(*xs[t : t + k])) if all(inside[t : t + k]) else None
+        for t in range(0, len(xs), k)
+    ]
+
+
+def matrix_certificate(pair: QualifiedPair, word: Word) -> CertificateReport:
+    """The certificate of ``hgsp.certify.verify_witness``, on full matrix products."""
+    gen = build_generators(pair)
+    v = transvection_vector(gen)
+    form = invariant_symplectic_form(gen, v)
+    n = gen.degree
+    gamma = evaluate_word(word, gen)
+    gamma_inv = evaluate_word(word.inverse(), gen)
+    w1 = v
+    w2 = mat_vec(gamma_inv, v)
+    w3 = mat_vec(gamma, v)
+    c = w3[n - 1]
+
+    checks: dict[str, Optional[bool]] = dict.fromkeys(CHECK_ORDER)
+    checks["last_entry"] = c in (1, -1, 2, -2)
+    checks["independence"] = linearly_independent((w1, w2, w3))
+
+    unit = lambda j: tuple(1 if i == j else 0 for i in range(n))
+    omega_v_en = form.pairing(v, unit(n - 1))
+    checks["omega_v_prefix_zero"] = all(
+        form.pairing(v, unit(j)) == 0 for j in range(n - 1)
+    )
+    checks["omega_v_last_nonzero"] = omega_v_en != 0
+    checks["omega_word_relation"] = form.pairing(w3, v) == -c * omega_v_en
+
+    c1 = mat_mul(gen.a_inv, gen.b)
+    c2 = mat_mul(mat_mul(gamma_inv, c1), gamma)
+    c3 = mat_mul(mat_mul(gamma, c1), gamma_inv)
+    checks["c1_transvection"] = is_transvection(c1)
+    checks["c2_transvection"] = is_transvection(c2)
+    checks["c3_transvection"] = is_transvection(c3)
+
+    radical_dim: Optional[int] = None
+    e_vec: Optional[Vector] = None
+    restrictions: list[Optional[RatMatrix]] = [None, None, None]
+    l1: Optional[Fraction] = None
+
+    if checks["independence"]:
+        gram = [
+            tuple(form.pairing(wj, wi) for wj in (w1, w2, w3))
+            for wi in (w1, w2, w3)
+        ]
+        # An alternating 3x3 Gram matrix has rank 0 or 2; when it is nonzero
+        # its radical is spanned by (G12, -G02, G01).
+        coeffs = (gram[1][2], -gram[0][2], gram[0][1])
+        radical_dim = 1 if any(coeffs) else 3
+        checks["radical_dimension"] = radical_dim == 1
+        if checks["radical_dimension"]:
+            e_vec = _primitive(
+                tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
+            )
+            d, scaled = _scaled_restrictions((e_vec, w1, w2), (c1, c2, c3))
+            checks["basis"] = d != 0
+            if checks["basis"]:
+                checks["fixed_e"] = all(
+                    mat_vec(m, e_vec) == e_vec for m in (c1, c2, c3)
+                )
+                restrictions = [
+                    None if s is None
+                    else tuple(tuple(Fraction(x, d) for x in row) for row in s)
+                    for s in scaled
+                ]
+                s1, s2, s3 = scaled
+                if None in scaled:
+                    # Some image escapes W; report it on the form checks.
+                    checks["c1_form"] = s1 is not None
+                    checks["c2_form"] = s2 is not None
+                    checks["c3_first_column"] = s3 is not None
+                else:
+                    checks["c1_form"] = s1 == ((d, 0, 0), (0, d, -c * d), (0, 0, d))
+                    checks["c2_form"] = s2 == ((d, 0, 0), (0, d, 0), (0, c * d, d))
+                    checks["c3_first_column"] = (s3[0][0], s3[1][0], s3[2][0]) == (d, 0, 0)
+                    l1 = restrictions[2][0][1]
+                    checks["l1_nonzero"] = s3[0][1] != 0
+                    trace_u = s3[1][1] + s3[2][2]
+                    det_u = s3[1][1] * s3[2][2] - s3[1][2] * s3[2][1]
+                    checks["u_unipotent"] = trace_u == 2 * d and det_u == d * d
+
+    verdict = all(checks.values())
+    first_failure = next(
+        (name for name in CHECK_ORDER if checks[name] is not True), None
+    )
+
+    return CertificateReport(
+        pair_id=pair.pair_id,
+        word=str(word),
+        degree=n,
+        c=c,
+        omega_v_en=omega_v_en,
+        radical_dimension=radical_dim,
+        e_vector=e_vec,
+        c1_restriction=restrictions[0],
+        c2_restriction=restrictions[1],
+        c3_restriction=restrictions[2],
+        l1=l1,
+        verdict=verdict,
+        first_failure=first_failure,
+        **{name + "_ok": checks[name] for name in CHECK_ORDER},
+    )

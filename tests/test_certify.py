@@ -1,16 +1,25 @@
-"""Certificate checker: tabulated witnesses pass, dependent examples fail."""
+"""Certificate checker: tabulated witnesses pass, dependent examples fail,
+and every report equals the matrix-product oracle's."""
 
 from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgsp.certify import (
     CHECK_ORDER,
     CertificateReport,
     _scaled_restrictions,
+    _transvection,
     verify_witness,
 )
 from hgsp.fixtures import DEPENDENT_EXAMPLES, TABLE_A, witness_rows
-from hgsp.linalg import identity_matrix
+from hgsp.pairs import enumerate_qualified_pairs
 from hgsp.words import Word
+from oracles import is_transvection, matrix_certificate
+from test_golden import certificate_cases
+from test_words import _free_reduce
 
 
 def test_every_tabulated_witness_passes():
@@ -127,15 +136,14 @@ def test_report_is_a_dataclass_instance():
 
 
 def test_scaled_restrictions_detect_an_image_outside_the_span():
-    # basis 2e1, e2, e3 of a 3-space in Z^4: Gram determinant 4
+    # basis 2e1, e2, e3 of a 3-space in Z^4: Gram determinant 4; each map
+    # is I + u r^T, given as (u, r)
     basis = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    ident = identity_matrix(4)
-    # e2 -> e1 = (1/2)(2e1): inside, with a fractional coordinate
-    to_e1 = tuple(tuple(1 if (i, j) in ((0, 0), (0, 1), (2, 2), (3, 3)) else 0
-                        for j in range(4)) for i in range(4))
-    # e3 -> e3 + e4 leaves the span
-    escape = tuple(tuple(1 if i == j or (i, j) == (3, 2) else 0
-                         for j in range(4)) for i in range(4))
+    ident = ((0, 0, 0, 0), (0, 0, 0, 0))
+    # I + (e1 - e2) e2^T: e2 -> e1 = (1/2)(2e1), inside with a fractional coordinate
+    to_e1 = ((1, -1, 0, 0), (0, 1, 0, 0))
+    # I + e4 e3^T: e3 -> e3 + e4 leaves the span
+    escape = ((0, 0, 0, 1), (0, 0, 1, 0))
     d, scaled = _scaled_restrictions(basis, (ident, to_e1, escape))
     assert d == 4
     assert scaled[0] == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -144,3 +152,56 @@ def test_scaled_restrictions_detect_an_image_outside_the_span():
     # a dependent basis has Gram determinant 0
     dependent = ((1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0))
     assert _scaled_restrictions(dependent, (ident,)) == (0, [None])
+
+
+def _rank_one(u, r):
+    """I + u r^T as a matrix."""
+    n = len(u)
+    return tuple(
+        tuple((i == j) + u[i] * r[j] for j in range(n)) for i in range(n)
+    )
+
+
+def test_rank_one_transvection_predicate():
+    cases = [
+        ((0, 0, 0), (1, 2, 3), False),  # u = 0: C = I
+        ((1, 2, 3), (0, 0, 0), False),  # r = 0: C = I
+        ((1, 0, 0), (1, 0, 0), False),  # r . u = 1: rank one, not unipotent
+        ((1, 2, 0), (2, -1, 5), True),  # r . u = 0: a transvection
+    ]
+    for u, r, expected in cases:
+        assert _transvection(u, r) is expected, (u, r)
+        assert is_transvection(_rank_one(u, r)) is expected, (u, r)
+
+
+def _assert_same_report(pair, word):
+    got = verify_witness(pair, word).to_json()
+    want = matrix_certificate(pair, word).to_json()
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], (pair.pair_id, str(word), name)
+
+
+def test_certificate_equals_the_matrix_oracle_on_the_golden_cases():
+    cases = certificate_cases()
+    assert len(cases) == 180
+    for pair, word in cases:
+        _assert_same_report(pair, word)
+
+
+@lru_cache(maxsize=None)
+def _sample_pairs(degree):
+    """About twenty pairs spread over the census of one degree."""
+    pairs = enumerate_qualified_pairs(degree)
+    return pairs[:: max(1, len(pairs) // 20)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((4, 6, 8)),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.lists(st.sampled_from([0, 1, 2, 3]), max_size=8).map(_free_reduce),
+)
+def test_certificate_equals_the_matrix_oracle_on_sampled_words(degree, index, word):
+    pairs = _sample_pairs(degree)
+    _assert_same_report(pairs[index % len(pairs)], word)

@@ -1,5 +1,6 @@
 """Command line interface, driven through main(argv)."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from hgsp import cyclotomic
 from hgsp.cache import ResultCache
+from hgsp.certify import verify_witness
 from hgsp.cli import CSV_COLUMNS, main
 from hgsp.cyclotomic import CycloFactorization
 
@@ -320,6 +322,57 @@ def test_search_cache_serves_true_obstruction(tmp_path, capsys):
     blob = json.loads(out)
     assert rc == 0
     assert blob["cached"] is True and blob["kind"] == "obstructed" and blob["gcd"] == 4
+
+
+def test_search_cache_checks_small_lc_and_degree(tmp_path, capsys):
+    # 1^6|3,6^2 has |lc| > 2, so a small-lc record for it is false, and a
+    # degree-8 record answers no degree-6 search; an unknown record is
+    # otherwise trusted as "not found up to its depth"
+    for fields in (
+        {"degree": 6, "kind": "arithmetic_small_lc"},
+        {"degree": 8, "kind": "unknown"},
+    ):
+        cache = tmp_path / f"{fields['kind']}.jsonl"
+        cache.write_text(json.dumps({
+            "pair_id": "1^6|3,6^2", "searched_depth": 9, **fields,
+        }) + "\n")
+        rc, out, err = run(capsys, "search", "--f", "1^6", "--g", "3,6^2",
+                           "--max-depth", "3", "--cache", str(cache))
+        assert rc == 0 and err == "", fields
+        blob = json.loads(out)
+        assert "cached" not in blob and blob["word"] == "B^2A", fields
+        assert ResultCache(cache).lookup("1^6|3,6^2", 3).witness == "B^2A"
+
+
+def test_search_cache_serves_small_lc_when_lc_is_small(tmp_path, capsys):
+    argv = ["search", "--f", "1^2,2^2,3", "--g", "4,8", "--max-depth", "2"]
+    rc, out, _ = run(capsys, *argv, "--no-cache")
+    pair_id = json.loads(out)["pair_id"]
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({
+        "pair_id": pair_id, "degree": 6, "searched_depth": 9,
+        "kind": "arithmetic_small_lc",
+    }) + "\n")
+    rc, out, _ = run(capsys, *argv, "--cache", str(cache))
+    blob = json.loads(out)
+    assert rc == 0
+    assert blob["cached"] is True and blob["kind"] == "arithmetic_small_lc"
+
+
+def test_search_refuses_a_found_word_whose_certificate_fails(tmp_path, monkeypatch, capsys):
+    def failing(pair, word):
+        report = verify_witness(pair, word)
+        return dataclasses.replace(report, u_unipotent_ok=False, verdict=False,
+                                   first_failure="u_unipotent")
+
+    monkeypatch.setattr("hgsp.cli.verify_witness", failing)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("")
+    rc, out, err = run(capsys, "search", "--f", "1^6", "--g", "3,6^2",
+                       "--max-depth", "3", "--cache", str(cache))
+    assert rc == 1 and out == ""
+    assert err == "search found B^2A, but its certificate fails at u_unipotent\n"
+    assert cache.read_text() == ""
 
 
 def test_verify_tabulated_witness_passes(capsys):

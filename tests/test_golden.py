@@ -22,15 +22,20 @@ GOLDEN = Path(__file__).parent / "golden"
 PROBE_WORDS = ("A", "BA", "B^2A", "AB^-1A^2")
 
 
-def certificate_lines() -> str:
+def certificate_cases() -> list:
+    """The (pair, word) of each golden certificate, in file order."""
     cases = [(row.pair(), row.witness_word()) for row in witness_rows()]
     cases += [(ex.pair(), Word.parse(ex.word)) for ex in DEPENDENT_EXAMPLES]
     cases += [
         (row.pair(), Word.parse(word)) for row in TABLE_A for word in PROBE_WORDS
     ]
+    return cases
+
+
+def certificate_lines() -> str:
     return "".join(
         json.dumps(verify_witness(pair, word).to_json()) + "\n"
-        for pair, word in cases
+        for pair, word in certificate_cases()
     )
 
 

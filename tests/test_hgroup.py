@@ -10,22 +10,17 @@ from hgsp.hgroup import (
     InvariantFormError,
     build_generators,
     invariant_symplectic_form,
-    is_transvection,
     transvection_vector,
 )
-from hgsp.linalg import (
-    determinant,
-    identity_matrix,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    rank,
-    transpose,
-)
+from hgsp.linalg import determinant, mat_mul, mat_vec, rank, transpose
 from hgsp.pairs import enumerate_qualified_pairs, make_pair
 from oracles import (
+    identity_matrix,
     invariant_alternating_space,
+    is_transvection,
     kernel_symplectic_form,
+    letter_matrix,
+    mat_sub,
     symmetric_invariant_dimension,
 )
 
@@ -48,10 +43,10 @@ def test_generators_are_unimodular_companions():
     assert determinant(gen.b) == 1
     assert mat_mul(gen.a, gen.a_inv) == identity_matrix(6)
     assert mat_mul(gen.b, gen.b_inv) == identity_matrix(6)
-    assert gen.letter_matrix(0) == gen.a
-    assert gen.letter_matrix(1) == gen.b
-    assert gen.letter_matrix(2) == gen.a_inv
-    assert gen.letter_matrix(3) == gen.b_inv
+    assert letter_matrix(gen, 0) == gen.a
+    assert letter_matrix(gen, 1) == gen.b
+    assert letter_matrix(gen, 2) == gen.a_inv
+    assert letter_matrix(gen, 3) == gen.b_inv
 
 
 def test_transvection_vector_row_17():

@@ -17,16 +17,21 @@ from hgsp.linalg import (
     companion_inverse,
     companion_matrix,
     determinant,
-    identity_matrix,
     linearly_independent,
     mat_mul,
-    mat_sub,
     mat_vec,
     rank,
     transpose,
 )
 from hgsp.poly import IntPoly
-from oracles import kernel_basis, nullspace, solve_unimodular, unimodular_inverse
+from oracles import (
+    identity_matrix,
+    kernel_basis,
+    mat_sub,
+    nullspace,
+    solve_unimodular,
+    unimodular_inverse,
+)
 
 
 # -- oracles -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hgsp.linalg import identity_matrix, mat_mul
+from hgsp.linalg import mat_mul, mat_vec
 from hgsp.pairs import enumerate_qualified_pairs
 from hgsp.hgroup import build_generators
 from hgsp.words import (
@@ -17,9 +17,10 @@ from hgsp.words import (
     NotReducedError,
     Word,
     WordSyntaxError,
-    evaluate_word,
     inverse_letter,
+    word_images,
 )
+from oracles import evaluate_word, identity_matrix
 
 
 def test_letter_codes_and_inverses():
@@ -161,3 +162,15 @@ def test_evaluate_word_respects_inverse(word):
     m = evaluate_word(word, gen)
     m_inv = evaluate_word(word.inverse(), gen)
     assert mat_mul(m, m_inv) == identity_matrix(4)
+
+
+@given(reduced_words)
+def test_word_images_are_the_word_matrix_products(word):
+    pair = enumerate_qualified_pairs(6, mum_only=True)[3]
+    gen = build_generators(pair)
+    x = (3, -1, 4, 1, -5, 9)
+    mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
+    assert word_images(mats, x, word.letters) == (
+        mat_vec(evaluate_word(word, gen), x),
+        mat_vec(evaluate_word(word.inverse(), gen), x),
+    )
