@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -48,7 +47,6 @@ class CacheRecord:
     witness_length: Optional[int]
     gcd: Optional[int]
     nodes: Optional[int]
-    created_at: str
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -66,7 +64,6 @@ class CacheRecord:
             witness_length=data.get("witness_length"),
             gcd=data.get("gcd"),
             nodes=data.get("nodes"),
-            created_at=data.get("created_at", ""),
         )
         for name, types in _FIELD_TYPES.items():
             if type(getattr(record, name)) not in types:
@@ -166,5 +163,4 @@ def record_for(pair, classification, nodes: Optional[int] = None) -> CacheRecord
         witness_length=classification.witness_length,
         gcd=classification.gcd,
         nodes=nodes,
-        created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

@@ -27,13 +27,20 @@ C1 = A^-1 B = I + (A^-1 x) e_n^T = I + v e_n^T exactly.  Conjugating,
 and w2, w3, r2, r3 take one matrix-vector product per letter each.  A map
 I + u r^T is a transvection (rank(C - I) = 1 and (C - I)^2 = 0) exactly
 when u and r are nonzero and r . u = 0, since (u r^T)^2 = (r . u) u r^T,
-and it sends b to b + (r . b) u.  All of this runs in exact integer
-arithmetic: the three restrictions come from one fraction-free solve of
-the 3x3 Gram system of {e, w1, w2}, scaled by its determinant d, and
-rebuilding every image from its coordinates shows whether it lies in W at
-all.  Fractions appear only in the reported matrix entries.  The report
-carries one flag per check plus the computed objects, and the verdict is
-their conjunction.
+and it sends b to b + (r . b) u.
+
+Each Ci is I + u r^T with u one of w1, w2, w3, so it maps W into itself,
+and in the basis {e, w1, w2} its restriction is I + a s^T, where a holds
+the coordinates of u and s = (r . e, r . w1, r . w2).  For C1 and C2,
+a = (0, 1, 0) and (0, 0, 1).  For C3, the radical vector gives
+k e = G12 w1 - G02 w2 + G01 w3, with G the Gram matrix of the form on
+w1, w2, w3 and k the signed content that e is divided by, so
+a = (k, -G12, G02) / G01.  Hence {e, w1, w2} is a basis exactly when
+G01 != 0, and e is fixed by every Ci exactly when r . e = 0 for all three
+(each u is nonzero).  All of this runs in exact integer arithmetic on
+G01 times the restrictions; the only rational division is by G01, in the
+reported matrix entries.  The report carries one flag per check plus the
+computed objects, and the verdict is their conjunction.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hgroup import build_generators, invariant_symplectic_form, transvection_vector
-from .linalg import Matrix, Vector, linearly_independent, solve_scaled, transpose
+from .linalg import Matrix, Vector, linearly_independent, transpose
 from .pairs import QualifiedPair
 from .words import Word, word_images
 
@@ -117,13 +124,12 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _primitive(vec: Sequence[int]) -> Vector:
-    g = math.gcd(*vec)
-    sign = -1 if next(x for x in vec if x) < 0 else 1
-    return tuple(sign * x // g for x in vec)
-
-
-RankOne = tuple[Vector, Vector]  # (u, r) for the map I + u r^T
+def _primitive(vec: Sequence[int]) -> tuple[int, Vector]:
+    """(k, vec / k) for k the content of vec, signed so vec / k leads positive."""
+    k = math.gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        k = -k
+    return k, tuple(x // k for x in vec)
 
 
 def _transvection(u: Vector, r: Vector) -> bool:
@@ -131,37 +137,10 @@ def _transvection(u: Vector, r: Vector) -> bool:
     return any(u) and any(r) and _dot(r, u) == 0
 
 
-def _image(m: RankOne, b: Vector) -> Vector:
-    """(I + u r^T) b = b + (r . b) u."""
-    u, r = m
-    t = _dot(r, b)
-    return tuple(x + t * y for x, y in zip(b, u))
-
-
-def _scaled_restrictions(
-    basis: Sequence[Vector], maps: Sequence[RankOne]
-) -> tuple[int, list[Optional[Matrix]]]:
-    """(d, [d * M|span(basis) for M in maps]) for d the Gram determinant.
-
-    The Gram system G x = B^T y, solved once for every image y, gives
-    the coordinates of y's projection onto the span; y lies in the span
-    exactly when B (d x) == d y, and a map with an image outside it gets
-    None.  d is 0 exactly when the basis is dependent.
-    """
-    images = [_image(m, b) for m in maps for b in basis]
-    gram = tuple(tuple(_dot(x, y) for y in basis) for x in basis)
-    d, xs = solve_scaled(gram, [[_dot(b, y) for y in images] for b in basis])
-    if d == 0:
-        return 0, [None] * len(maps)
-    inside = [
-        all(_dot(x, col) == d * yi for col, yi in zip(zip(*basis), y))
-        for x, y in zip(xs, images)
-    ]
-    k = len(basis)
-    return d, [
-        tuple(zip(*xs[t : t + k])) if all(inside[t : t + k]) else None
-        for t in range(0, len(xs), k)
-    ]
+def _scaled_restriction(a: Sequence[int], r: Vector, basis: Sequence[Vector], d: int) -> Matrix:
+    """d (I + u r^T)|W in the basis, for u with coordinates a / d in it."""
+    s = [_dot(r, b) for b in basis]
+    return tuple(tuple(d * (i == j) + a[i] * s[j] for j in range(3)) for i in range(3))
 
 
 def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
@@ -207,33 +186,31 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
         radical_dim = 1 if any(coeffs) else 3
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:
-            e_vec = _primitive(
+            k, e_vec = _primitive(
                 tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
             )
-            d, scaled = _scaled_restrictions((e_vec, w1, w2), conjugates)
+            d = coeffs[2]  # G01
             checks["basis"] = d != 0
             if checks["basis"]:
-                checks["fixed_e"] = all(_image(m, e_vec) == e_vec for m in conjugates)
+                checks["fixed_e"] = all(_dot(r, e_vec) == 0 for _, r in conjugates)
+                # d times the coordinates of w1, w2 and w3 in {e, w1, w2}
+                coords = ((0, d, 0), (0, 0, d), (k, -coeffs[0], -coeffs[1]))
+                s1, s2, s3 = (
+                    _scaled_restriction(a, r, (e_vec, w1, w2), d)
+                    for a, (_, r) in zip(coords, conjugates)
+                )
                 restrictions = [
-                    None if s is None
-                    else tuple(tuple(Fraction(x, d) for x in row) for row in s)
-                    for s in scaled
+                    tuple(tuple(Fraction(x, d) for x in row) for row in s)
+                    for s in (s1, s2, s3)
                 ]
-                s1, s2, s3 = scaled
-                if None in scaled:
-                    # Some image escapes W; report it on the form checks.
-                    checks["c1_form"] = s1 is not None
-                    checks["c2_form"] = s2 is not None
-                    checks["c3_first_column"] = s3 is not None
-                else:
-                    checks["c1_form"] = s1 == ((d, 0, 0), (0, d, -c * d), (0, 0, d))
-                    checks["c2_form"] = s2 == ((d, 0, 0), (0, d, 0), (0, c * d, d))
-                    checks["c3_first_column"] = (s3[0][0], s3[1][0], s3[2][0]) == (d, 0, 0)
-                    l1 = restrictions[2][0][1]
-                    checks["l1_nonzero"] = s3[0][1] != 0
-                    trace_u = s3[1][1] + s3[2][2]
-                    det_u = s3[1][1] * s3[2][2] - s3[1][2] * s3[2][1]
-                    checks["u_unipotent"] = trace_u == 2 * d and det_u == d * d
+                checks["c1_form"] = s1 == ((d, 0, 0), (0, d, -c * d), (0, 0, d))
+                checks["c2_form"] = s2 == ((d, 0, 0), (0, d, 0), (0, c * d, d))
+                checks["c3_first_column"] = (s3[0][0], s3[1][0], s3[2][0]) == (d, 0, 0)
+                l1 = restrictions[2][0][1]
+                checks["l1_nonzero"] = s3[0][1] != 0
+                trace_u = s3[1][1] + s3[2][2]
+                det_u = s3[1][1] * s3[2][2] - s3[1][2] * s3[2][1]
+                checks["u_unipotent"] = trace_u == 2 * d and det_u == d * d
 
     verdict = all(checks.values())
     first_failure = next(

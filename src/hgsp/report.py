@@ -16,7 +16,7 @@ then show the alternate totals.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import fixtures
 from .cyclotomic import parse_parameters
@@ -69,9 +69,8 @@ class ReproductionReport:
         return "\n".join(lines)
 
 
-def _check_table_a(
-    census: Sequence[QualifiedPair], table_a: Sequence[fixtures.MumRow]
-) -> ReportCheck:
+def _check_table_a(census: Sequence[QualifiedPair]) -> ReportCheck:
+    table_a = fixtures.TABLE_A
     mums = [mum_oriented(p) for p in census if p.is_mum()]
     by_beta = {tuple(sorted(p.beta)): p for p in mums}
     mismatches = []
@@ -105,8 +104,9 @@ def _check_table_a(
 
 
 def _check_table_d(
-    census_ids: set[str], table_d: Sequence[fixtures.OpenRow], convention: str
+    census_ids: set[str], convention: str
 ) -> tuple[ReportCheck, set[str]]:
+    table_d = fixtures.TABLE_D
     mismatches = []
     present = 0
     d_ids: set[str] = set()
@@ -134,11 +134,8 @@ def _check_table_d(
     return check, d_ids
 
 
-def _check_counts(
-    census: Sequence[QualifiedPair],
-    expected_total: int,
-    expected_small: int,
-) -> ReportCheck:
+def _check_counts(census: Sequence[QualifiedPair]) -> ReportCheck:
+    expected_total, expected_small = fixtures.CENSUS_TOTAL, fixtures.TABLE_C_COUNT
     total = len(census)
     small = sum(1 for p in census if abs(p.lc) <= 2)
     large = total - small
@@ -158,18 +155,14 @@ def _check_counts(
     )
 
 
-def _check_residual(
-    census: Sequence[QualifiedPair],
-    d_ids: set[str],
-    expected_residual: int,
-    table_sizes: tuple[int, int],
-) -> ReportCheck:
+def _check_residual(census: Sequence[QualifiedPair], d_ids: set[str]) -> ReportCheck:
+    expected_residual = fixtures.TABLE_B_COUNT
     residual = [
         p
         for p in census
         if abs(p.lc) >= 3 and not p.is_mum() and p.pair_id not in d_ids
     ]
-    n_a, n_d = table_sizes
+    n_a, n_d = len(fixtures.TABLE_A), len(fixtures.TABLE_D)
     detail = (
         f"{len(residual)} candidates "
         f"({len(census)} total - small-lc - {n_a} - {n_d})"
@@ -187,31 +180,16 @@ def _check_residual(
     )
 
 
-def build_report(
-    convention: str = DEFAULT_CONVENTION,
-    table_a: Optional[Sequence[fixtures.MumRow]] = None,
-    table_d: Optional[Sequence[fixtures.OpenRow]] = None,
-    expected_total: int = fixtures.CENSUS_TOTAL,
-    expected_small: int = fixtures.TABLE_C_COUNT,
-    expected_residual: int = fixtures.TABLE_B_COUNT,
-) -> ReproductionReport:
+def build_report(convention: str = DEFAULT_CONVENTION) -> ReproductionReport:
     """Run all four checks against a fresh degree-6 enumeration.
 
-    The table arguments default to the embedded fixtures and exist so
-    tests can feed perturbed copies through the same code path.
+    The tables and expected counts are read from ``fixtures`` on each call.
     """
-    if table_a is None:
-        table_a = fixtures.TABLE_A
-    if table_d is None:
-        table_d = fixtures.TABLE_D
     census = enumerate_qualified_pairs(6, convention)
-    census_ids = {p.pair_id for p in census}
-    check_a = _check_table_a(census, table_a)
-    check_d, d_ids = _check_table_d(census_ids, table_d, convention)
-    check_counts = _check_counts(census, expected_total, expected_small)
-    check_residual = _check_residual(
-        census, d_ids, expected_residual, (len(table_a), len(table_d))
-    )
+    check_a = _check_table_a(census)
+    check_d, d_ids = _check_table_d({p.pair_id for p in census}, convention)
+    check_counts = _check_counts(census)
+    check_residual = _check_residual(census, d_ids)
     return ReproductionReport(
         convention=convention,
         checks=(check_a, check_d, check_counts, check_residual),

@@ -113,7 +113,7 @@ def _parse_exponent(text: str, pos: int) -> tuple[int, int]:
         negative = True
         pos += 1
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":  # ASCII only
         pos += 1
     if pos == start:
         raise WordSyntaxError(f"missing exponent digits at position {start}")

@@ -412,7 +412,7 @@ def matrix_certificate(pair: QualifiedPair, word: Word) -> CertificateReport:
         radical_dim = 1 if any(coeffs) else 3
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:
-            e_vec = _primitive(
+            _, e_vec = _primitive(
                 tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
             )
             d, scaled = _scaled_restrictions((e_vec, w1, w2), (c1, c2, c3))

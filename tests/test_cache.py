@@ -27,7 +27,6 @@ def record(pair_id="1^6|3^2,6", kind="unknown", searched_depth=0, **kw):
         witness_length=None,
         gcd=None,
         nodes=None,
-        created_at="2026-08-18T00:00:00+00:00",
     )
     base.update(kw)
     return CacheRecord(**base)
@@ -163,10 +162,19 @@ def test_torn_last_line_costs_only_its_record(tmp_path):
 
 
 def test_lines_with_a_tool_version_still_load(tmp_path):
+    # older files carry tool_version and created_at keys, which are ignored
     path = tmp_path / "c.jsonl"
     rec = record(kind="unknown", searched_depth=6)
-    path.write_text(json.dumps({**rec.to_json(), "tool_version": "0.1.0"}) + "\n")
+    old_keys = {"tool_version": "0.1.0", "created_at": "2026-08-18T00:00:00+00:00"}
+    path.write_text(json.dumps({**rec.to_json(), **old_keys}) + "\n")
     assert ResultCache(path).lookup(rec.pair_id, max_depth=6) == rec
+    # a fresh line carries neither
+    cache = ResultCache(path)
+    cls = PairClassification(kind="unknown", searched_depth=7)
+    cache.store(record_for(TABLE_A[16].pair(), cls))
+    fresh = json.loads(path.read_text().splitlines()[-1])
+    assert fresh["searched_depth"] == 7
+    assert not set(old_keys) & set(fresh)
 
 
 def test_corrupt_lines_are_ignored(tmp_path):

@@ -7,14 +7,11 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgsp.certify import (
-    CHECK_ORDER,
-    CertificateReport,
-    _scaled_restrictions,
-    _transvection,
-    verify_witness,
-)
+from hgsp import certify
+from hgsp.certify import CHECK_ORDER, CertificateReport, _transvection, verify_witness
 from hgsp.fixtures import DEPENDENT_EXAMPLES, TABLE_A, witness_rows
+from hgsp.hgroup import build_generators, invariant_symplectic_form, transvection_vector
+from hgsp.linalg import mat_vec
 from hgsp.pairs import enumerate_qualified_pairs
 from hgsp.words import Word
 from oracles import is_transvection, matrix_certificate
@@ -135,25 +132,6 @@ def test_report_is_a_dataclass_instance():
     assert report.pair_id == row.pair().pair_id
 
 
-def test_scaled_restrictions_detect_an_image_outside_the_span():
-    # basis 2e1, e2, e3 of a 3-space in Z^4: Gram determinant 4; each map
-    # is I + u r^T, given as (u, r)
-    basis = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    ident = ((0, 0, 0, 0), (0, 0, 0, 0))
-    # I + (e1 - e2) e2^T: e2 -> e1 = (1/2)(2e1), inside with a fractional coordinate
-    to_e1 = ((1, -1, 0, 0), (0, 1, 0, 0))
-    # I + e4 e3^T: e3 -> e3 + e4 leaves the span
-    escape = ((0, 0, 0, 1), (0, 0, 1, 0))
-    d, scaled = _scaled_restrictions(basis, (ident, to_e1, escape))
-    assert d == 4
-    assert scaled[0] == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
-    assert scaled[1] == ((4, 2, 0), (0, 0, 0), (0, 0, 4))
-    assert scaled[2] is None
-    # a dependent basis has Gram determinant 0
-    dependent = ((1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0))
-    assert _scaled_restrictions(dependent, (ident,)) == (0, [None])
-
-
 def _rank_one(u, r):
     """I + u r^T as a matrix."""
     n = len(u)
@@ -172,6 +150,103 @@ def test_rank_one_transvection_predicate():
     for u, r, expected in cases:
         assert _transvection(u, r) is expected, (u, r)
         assert is_transvection(_rank_one(u, r)) is expected, (u, r)
+
+
+def _coordinates(basis, y):
+    """Exact x with sum(x_i basis_i) == y, by elimination over Fractions;
+    None when y lies outside the span of the (independent) basis."""
+    rows = [[Fraction(x) for x in row] for row in zip(*basis, y)]
+    k = len(basis)
+    for col in range(k):
+        pivot = next(i for i in range(col, len(rows)) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [x - row[col] * p for x, p in zip(row, rows[col])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return tuple(row[k] for row in rows[:k])
+
+
+def _unit(j, n=6):
+    return tuple(int(i == j) for i in range(n))
+
+
+def _add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+# Hand-made replacements for the vectors of C2 = I + w2 r2^T and
+# C3 = I + w3 r3^T, each a function of v and the vector it replaces.
+_BENDS = (
+    None,
+    ("r2", lambda v, r: _add(r, _unit(5))),
+    ("r3", lambda v, r: _add(r, _unit(5))),
+    ("r3", lambda v, r: _add(r, _unit(0))),
+    ("w2", lambda v, w: _add(w, _unit(5))),
+    ("r3", lambda v, r: (v[1], -v[0]) + (0,) * (len(v) - 2)),  # r3 . v = 0
+)
+
+_SHAPE_CHECKS = (
+    "fixed_e", "c1_form", "c2_form", "c3_first_column", "l1_nonzero", "u_unipotent",
+)
+
+
+def test_shape_checks_fail_on_bent_rank_one_data(monkeypatch):
+    # No real witness or sampled word fails these six checks, so bend the
+    # vectors verify_witness reads.  The reported restrictions must equal an
+    # exact solve of every image in {e, w1, w2}, and each check must equal
+    # its definition on them.
+    row = TABLE_A[16]
+    pair, word = row.pair(), row.witness_word()
+    gen = build_generators(pair)
+    v = transvection_vector(gen)
+    form = invariant_symplectic_form(gen, v)
+    n = gen.degree
+    real_images = certify.word_images
+    failed = set()
+    for bend in _BENDS:
+        vecs = {}
+
+        def images(mats, x, letters):
+            names = ("r2", "r3") if vecs else ("w3", "w2")
+            vecs.update(zip(names, real_images(mats, x, letters)))
+            if bend is not None and bend[0] in names:
+                vecs[bend[0]] = bend[1](v, vecs[bend[0]])
+            return tuple(vecs[name] for name in names)
+
+        monkeypatch.setattr(certify, "word_images", images)
+        report = verify_witness(pair, word)
+        assert report.radical_dimension_ok and report.basis_ok, bend
+        w2, w3, e = vecs["w2"], vecs["w3"], report.e_vector
+        # e spans the radical of the form on W
+        assert _coordinates((v, w2, w3), e) is not None
+        assert all(form.pairing(e, w) == 0 for w in (v, w2, w3))
+        basis = (e, v, w2)
+        restrictions, fixed = [], []
+        for u, r in ((v, _unit(n - 1)), (w2, vecs["r2"]), (w3, vecs["r3"])):
+            m = _rank_one(u, r)
+            cols = [_coordinates(basis, mat_vec(m, b)) for b in basis]
+            assert None not in cols  # every image stays in W
+            restrictions.append(tuple(zip(*cols)))
+            fixed.append(mat_vec(m, e) == e)
+        m1, m2, m3 = restrictions
+        assert (report.c1_restriction, report.c2_restriction, report.c3_restriction) == (m1, m2, m3)
+        c = report.c
+        expected = {
+            "fixed_e": all(fixed),
+            "c1_form": m1 == ((1, 0, 0), (0, 1, -c), (0, 0, 1)),
+            "c2_form": m2 == ((1, 0, 0), (0, 1, 0), (0, c, 1)),
+            "c3_first_column": (m3[0][0], m3[1][0], m3[2][0]) == (1, 0, 0),
+            "l1_nonzero": m3[0][1] != 0,
+            "u_unipotent": m3[1][1] + m3[2][2] == 2
+            and m3[1][1] * m3[2][2] - m3[1][2] * m3[2][1] == 1,
+        }
+        assert {name: getattr(report, name + "_ok") for name in _SHAPE_CHECKS} == expected, bend
+        assert report.verdict == (bend is None)
+        failed.update(name for name, ok in expected.items() if not ok)
+    assert failed == set(_SHAPE_CHECKS)
 
 
 def _assert_same_report(pair, word):

@@ -422,6 +422,7 @@ def test_verify_word_with_parentheses(capsys):
 
 def test_verify_malformed_word_is_usage_error(capsys):
     for word, message in (("A^", "missing exponent digits"),
+                          ("A^\u00b2", "missing exponent digits"),
                           ("A^10000000000", "word longer than 1000 letters"),
                           ("(" * 3000 + "A" + ")" * 3000, "nested deeper than 50")):
         with pytest.raises(SystemExit) as err:

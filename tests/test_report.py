@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from hgsp import fixtures
 from hgsp.fixtures import TABLE_A, TABLE_D
 from hgsp.pairs import SHIFT
 from hgsp.report import build_report
@@ -26,10 +27,11 @@ def test_render_format():
     assert lines[-1] == "result: PASS"
 
 
-def test_perturbed_lc_is_caught():
+def test_perturbed_lc_is_caught(monkeypatch):
     rows = list(TABLE_A)
     rows[16] = dataclasses.replace(rows[16], lc_abs=99)
-    report = build_report(table_a=rows)
+    monkeypatch.setattr(fixtures, "TABLE_A", rows)
+    report = build_report()
     assert not report.passed
     check = next(c for c in report.checks if c.name == "table-a")
     assert not check.passed
@@ -37,35 +39,39 @@ def test_perturbed_lc_is_caught():
     assert any("17" in m for m in check.mismatches)
 
 
-def test_perturbed_v_is_caught():
+def test_perturbed_v_is_caught(monkeypatch):
     rows = list(TABLE_A)
     wrong_v = tuple(x + 1 for x in rows[0].v)
     rows[0] = dataclasses.replace(rows[0], v=wrong_v)
-    report = build_report(table_a=rows)
+    monkeypatch.setattr(fixtures, "TABLE_A", rows)
+    report = build_report()
     check = next(c for c in report.checks if c.name == "table-a")
     assert not check.passed
 
 
-def test_unknown_beta_is_caught():
+def test_unknown_beta_is_caught(monkeypatch):
     rows = list(TABLE_A)
     rows[5] = dataclasses.replace(
         rows[5], beta=("1/7", "2/7", "3/7", "4/7", "5/7", "6/7")
     )
-    report = build_report(table_a=rows)
+    monkeypatch.setattr(fixtures, "TABLE_A", rows)
+    report = build_report()
     check = next(c for c in report.checks if c.name == "table-a")
     assert not check.passed
 
 
-def test_missing_table_d_row_changes_residual():
-    report = build_report(table_d=TABLE_D[:-1])
+def test_missing_table_d_row_changes_residual(monkeypatch):
+    monkeypatch.setattr(fixtures, "TABLE_D", TABLE_D[:-1])
+    report = build_report()
     counts = {c.name: c for c in report.checks}
     assert counts["table-d"].passed  # 63 rows, all still present
     assert not counts["table-b-candidates"].passed  # 144 != 143
     assert not report.passed
 
 
-def test_wrong_expected_counts_fail():
-    report = build_report(expected_total=457)
+def test_wrong_expected_counts_fail(monkeypatch):
+    monkeypatch.setattr(fixtures, "CENSUS_TOTAL", 457)
+    report = build_report()
     check = next(c for c in report.checks if c.name == "counts")
     assert not check.passed
     assert "458" in check.detail
@@ -79,8 +85,9 @@ def test_flipped_convention_fails_with_its_own_totals():
     assert "906" in check.detail
 
 
-def test_failing_render_marks_result():
-    text = build_report(expected_total=1).render()
+def test_failing_render_marks_result(monkeypatch):
+    monkeypatch.setattr(fixtures, "CENSUS_TOTAL", 1)
+    text = build_report().render()
     assert "[FAIL] counts" in text
     assert text.splitlines()[-1] == "result: FAIL"
 

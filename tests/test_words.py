@@ -64,7 +64,9 @@ def test_parse_nested_groups():
 
 
 def test_parse_rejects_syntax_errors():
-    for bad in ("", "C", "A^", "A^0", "A^-", "(AB", "AB)", "()", "A^1.5"):
+    for bad in ("", "C", "A^", "A^0", "A^-", "(AB", "AB)", "()", "A^1.5",
+                # only ASCII digits: a superscript two, an Arabic-Indic three
+                "A^\u00b2", "A^\u00b9B", "(AB)^\u00b2", "A^\u0663"):
         with pytest.raises(WordSyntaxError):
             Word.parse(bad)
     # longer than MAX_WORD_LENGTH, refused before the letters are expanded
