@@ -14,28 +14,32 @@ Everything here is exact integer arithmetic.  The last entry of gamma(v)
 is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
 is the only state the search carries.  A step r -> r L copies entry i of r
 where column j of L is e_i and takes one dot product over the nonzeros of
-every other column.  The last 5 letters of every word (all of a shorter
-one) are tested as a suffix block: the reduced suffixes s that may follow
-the prefix, in lexicographic order, with each coordinate of w_s = L_s v
-packed into one big int at 64 bits per suffix.  One dot product of r with
-the packed coordinates gives every r . w_s at once, and is used only when
-max|r_i| * l1 < 2^63, where l1 is a proven bound on every |w_s|_1; that
-keeps each r . w_s + 2^63 inside its unsigned 64-bit field, and the hits
-are read from the fields.  When the bound fails the block is walked with
-plain dot products.  A word whose last entry passes is confirmed with 2k
-matrix-vector products, gamma(v) from its last letter back and
-gamma^-1(v) from its first letter on, and the independence test.
+every other column.  The last 6 letters of every word (all of a shorter
+one) are tested as a suffix block: the at most 547 reduced suffixes s that
+may follow the prefix, in lexicographic order, with each coordinate of
+w_s = L_s v packed into one big int at 64 bits per suffix.  A block stores
+only its count; the suffix at position j is decoded from j by counting
+suffixes, counts that do not depend on the pair.  One dot product of r with
+the packed coordinates gives every r . w_s at once.  Each block carries a
+per-coordinate bound, bound[i] >= max_s |w_s[i]|, and the packed test is
+used only when sum_i |r_i| bound[i] < 2^63; that keeps each r . w_s + 2^63
+inside its unsigned 64-bit field, and the hits are read from the fields.
+The four good fields are fixed 8-byte strings, so a block with none of
+them in its bytes is dismissed without decoding.  A row that does not fit
+its block steps one more letter and tests the shorter blocks, down to
+length 0, where r . v is taken alone.  A word whose last entry passes is
+confirmed with 2k matrix-vector products, gamma(v) from its last letter
+back and gamma^-1(v) from its first letter on, and the independence test.
 
 The block of length k that follows a letter x holds y s for each letter y
 allowed after x and each s in the block of length k - 1 that follows y, so
 it is three runs joined in letter order.  Each run L_y (block k - 1 after
 y) is built once per length, packed: L_y applied to the block's n packed
-columns.  Joining signed packings is exact whatever the fields' sizes: a
-run goes in shifted up by 64 bits per suffix before it.  The bound grows by
-the largest column l1 norm of the letter matrices per letter.  Reading a
-field back needs it below 2^63, so a length whose bound reaches 2^63 keeps
-plain vectors, built with one matrix-vector product per suffix, and its
-blocks always take the plain walk.
+columns, with bound |L_y| times the block's bound, |L_y| taken entrywise.
+Joining signed packings is exact whatever the fields' sizes: a run goes in
+shifted up by 64 bits per suffix before it, and the joined bound is the
+runs' coordinate-wise max.  The bound at length 0 is |v|.  So every length
+stays packed, however large its entries.
 
 Pruning rule: no tested word ends in B or starts with B^-1.  Proof:
 T = A^-1 B fixes e_1 .. e_{n-1} and Tv = v (v_n = 0 as f and g are
@@ -60,12 +64,12 @@ import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
-from .linalg import Matrix, Vector, linearly_independent, mat_vec, transpose
+from .linalg import Matrix, Vector, linearly_independent, transpose
 from .pairs import QualifiedPair, gcd_obstruction
 from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, inverse_letter, word_images
 
@@ -74,10 +78,11 @@ NOT_FOUND = "not_found"
 OBSTRUCTED = "obstructed"
 
 _PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
-_BLOCK_DEPTH = 5  # the last letters of every word are tested as one suffix block
+_BLOCK_DEPTH = 6  # the last letters of every word are tested as one suffix block
 _GOOD_LAST = frozenset((1, -1, 2, -2))
 _HALF = 1 << 63
 _GOOD_FIELDS = frozenset(_HALF + t for t in _GOOD_LAST)
+_GOOD_BYTES = tuple(x.to_bytes(8, sys.byteorder) for x in sorted(_GOOD_FIELDS))
 _ALL_LETTERS = (0, 1, 2, 3)
 # Children of a node whose last letter is x: every letter except x's inverse,
 # in canonical order.
@@ -179,50 +184,63 @@ def _close_hits(hits) -> list[tuple[int, ...]]:
     return sorted(words)
 
 
-def _fields(values) -> int:
-    """sum_j (values[j] + 2^63) 2^(64 j) for values in [-2^63, 2^63)."""
-    return int.from_bytes(array("Q", [x + _HALF for x in values]).tobytes(), sys.byteorder)
+@lru_cache(maxsize=None)
+def _bias(count: int) -> int:
+    """sum_j 2^63 2^(64 j) over count fields."""
+    return int.from_bytes(array("Q", [_HALF]).tobytes() * count, sys.byteorder)
+
+
+@lru_cache(maxsize=None)
+def _size(k: int, last: int) -> int:
+    """How many reduced suffixes of length k may follow last and do not end in B."""
+    if k == 0:
+        return int(last != B)
+    return sum(_size(k - 1, y) for y in _ALLOWED[last])
+
+
+def _suffix(k: int, last: int, j: int) -> tuple[int, ...]:
+    """The suffix at position j of the block of length k that follows last."""
+    letters = []
+    for rest in range(k - 1, -1, -1):  # the letters left after this one
+        for y in _ALLOWED[last]:
+            if j < _size(rest, y):
+                break
+            j -= _size(rest, y)
+        letters.append(y)
+        last = y
+    return tuple(letters)
 
 
 class _Block:
-    """Reduced suffixes s of one length that do not end in B, in
-    lexicographic order, with w_s = L_s v and a proven bound l1 on every
-    |w_s|_1.
+    """The w_s = L_s v for the reduced suffixes s of one length that may
+    follow one letter and do not end in B, in lexicographic order, packed:
+    with j the position of s, columns[i] = sum_s w_s[i] 2^(64 j), a signed
+    packing, and bound[i] >= max_s |w_s[i]|.
 
-    With j the position of s, columns[i] = sum_s w_s[i] 2^(64 j), a signed
-    packing; it is kept only when l1 < 2^63, so each field w_s[i] can be read
-    back.  If max|r_i| l1 < 2^63 then |r . w_s| < 2^63, so field j of
-    sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no carry.
+    If sum_i |r_i| bound[i] < 2^63 then every |r . w_s| < 2^63, so field j
+    of sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no carry.
     """
 
-    def __init__(self, suffixes, l1: int, columns=None, vectors=None):
-        self.suffixes = suffixes
-        self.l1 = l1
-        # None: too wide to pack, every row takes the plain test
-        self.columns = columns if l1 < _HALF else None
-        self.bias = _fields([0] * len(suffixes))
-        if vectors is not None:
-            self.vectors = vectors
+    def __init__(self, count: int, columns, bound):
+        self.count = count
+        self.columns = columns
+        self.bound = bound
+        self.bias = _bias(count)
 
-    @cached_property
-    def vectors(self):
-        """w_s for each suffix, unpacked from the columns."""
-        size = 8 * len(self.suffixes)
-        coords = [array("Q", (c + self.bias).to_bytes(size, sys.byteorder)) for c in self.columns]
-        return tuple(tuple(x - _HALF for x in w) for w in zip(*coords))
+    def fits(self, row) -> bool:
+        """Whether the packed test is exact for this row."""
+        return sum(map(operator.mul, map(abs, row), self.bound)) < _HALF
 
     def candidates(self, row) -> list[int]:
-        """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending."""
-        if self.columns is not None and max(map(abs, row)) * self.l1 < _HALF:
-            packed = sum(map(operator.mul, row, self.columns), self.bias)
-            fields = memoryview(packed.to_bytes(8 * len(self.suffixes), sys.byteorder)).cast("Q")
-            if _GOOD_FIELDS.isdisjoint(fields):
-                return []
-            return [j for j, x in enumerate(fields) if x in _GOOD_FIELDS]
-        return [
-            j for j, w in enumerate(self.vectors)
-            if sum(map(operator.mul, row, w)) in _GOOD_LAST
-        ]
+        """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending,
+        for a row that fits."""
+        packed = sum(map(operator.mul, row, self.columns), self.bias)
+        data = packed.to_bytes(8 * self.count, sys.byteorder)
+        # a pattern may straddle two fields, so only a match decodes them
+        if not (_GOOD_BYTES[0] in data or _GOOD_BYTES[1] in data
+                or _GOOD_BYTES[2] in data or _GOOD_BYTES[3] in data):
+            return []
+        return [j for j, x in enumerate(memoryview(data).cast("Q")) if x in _GOOD_FIELDS]
 
 
 class _Engine:
@@ -234,14 +252,15 @@ class _Engine:
         self.mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
         self.plans = tuple(_row_plan(m) for m in self.mats)
         self.vec_plans = tuple(_row_plan(transpose(m)) for m in self.mats)  # L w, row by row
-        # |L w|_1 <= norm |w|_1 for every letter matrix L
-        self.norm = max(sum(map(abs, col)) for m in self.mats for col in zip(*m))
+        self.bound_plans = tuple(  # |L| b, row by row
+            _row_plan(transpose([list(map(abs, r)) for r in m])) for m in self.mats
+        )
         self.root = (0,) * (gen.degree - 1) + (1,)
         # The empty suffix may follow every letter except B: no tested word
         # ends in B.
-        l1 = sum(map(abs, v))
+        zero = (0,) * len(v)
         self.blocks: dict[tuple[int, int], _Block] = {  # by (length, previous letter)
-            (0, x): _Block((), l1, (0,) * len(v), ()) if x == B else _Block(((),), l1, v, (v,))
+            (0, x): _Block(0, zero, zero) if x == B else _Block(1, v, tuple(map(abs, v)))
             for x in _ALL_LETTERS
         }
         self.runs: dict[tuple[int, int], _Block] = {}  # by (length, first letter)
@@ -250,55 +269,57 @@ class _Engine:
         return _apply(self.plans[letter], row)
 
     def _run(self, k: int, y: int) -> _Block:
-        """The suffixes y s of length k: L_y applied to block (k - 1, y); packed,
-        that is n big-int combinations of the block's columns."""
+        """The suffixes y s of length k: L_y applied to the n packed columns of
+        block (k - 1, y), with bound |L_y| times that block's bound."""
         key = (k, y)
         if key not in self.runs:
             part = self.block(k - 1, y)
-            suffixes = tuple((y,) + s for s in part.suffixes)
-            l1 = self.norm * part.l1
-            if l1 < _HALF:
-                self.runs[key] = _Block(suffixes, l1, _apply(self.vec_plans[y], part.columns))
-            else:
-                vectors = tuple(mat_vec(self.mats[y], w) for w in part.vectors)
-                self.runs[key] = _Block(suffixes, l1, vectors=vectors)
+            self.runs[key] = _Block(
+                part.count, _apply(self.vec_plans[y], part.columns),
+                _apply(self.bound_plans[y], part.bound),
+            )
         return self.runs[key]
 
     def block(self, k: int, last: int) -> _Block:
         """The runs of length k whose first letter may follow last, joined in
         letter order: each run's signed packing moves up 64 bits for every
-        suffix in the runs before it."""
+        suffix in the runs before it, and the bound is the runs' coordinate-wise
+        max."""
         key = (k, last)
         if key not in self.blocks:
             runs = [self._run(k, y) for y in _ALLOWED[last]]
-            suffixes = tuple(s for run in runs for s in run.suffixes)
-            if runs[0].columns is None:
-                vectors = tuple(w for run in runs for w in run.vectors)
-                self.blocks[key] = _Block(suffixes, runs[0].l1, vectors=vectors)
-            else:
-                columns, shift = runs[0].columns, 0
-                for below, run in zip(runs, runs[1:]):
-                    shift += 64 * len(below.suffixes)
-                    columns = tuple(c + (d << shift) for c, d in zip(columns, run.columns))
-                self.blocks[key] = _Block(suffixes, runs[0].l1, columns)
+            columns, shift = runs[0].columns, 0
+            for below, run in zip(runs, runs[1:]):
+                shift += 64 * below.count
+                columns = tuple(c + (d << shift) for c, d in zip(columns, run.columns))
+            bound = tuple(map(max, *(run.bound for run in runs)))
+            self.blocks[key] = _Block(sum(run.count for run in runs), columns, bound)
         return self.blocks[key]
+
+    def _confirm(self, word: tuple[int, ...], hits: list[tuple[int, ...]]) -> None:
+        if linearly_independent((self.v, *word_images(self.mats, self.v, word))):
+            hits.append(word)
 
     def scan(self, row, last: int, remaining: int, path: list[int],
              hits: list[tuple[int, ...]], collect_all: bool) -> None:
         """Test every extension of `path` (whose last row is `row`) by exactly
         `remaining` letters that does not end in B; append passing words to
-        hits."""
+        hits.  A row too large for its block's packed test steps one more
+        letter and tests the shorter blocks; at length 0 it is tested alone."""
         if hits and not collect_all:
+            return
+        if remaining == 0:
+            if last != B and sum(map(operator.mul, row, self.v)) in _GOOD_LAST:
+                self._confirm(tuple(path), hits)
             return
         if remaining <= _BLOCK_DEPTH:
             block = self.block(remaining, last)
-            for j in block.candidates(row):
-                word = tuple(path) + block.suffixes[j]
-                if linearly_independent((self.v, *word_images(self.mats, self.v, word))):
-                    hits.append(word)
-                    if not collect_all:
+            if block.fits(row):
+                for j in block.candidates(row):
+                    self._confirm(tuple(path) + _suffix(remaining, last, j), hits)
+                    if hits and not collect_all:
                         break
-            return
+                return
         for y in _ALLOWED[last]:
             path.append(y)
             self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)

@@ -4,9 +4,12 @@ The enumeration and analyze digests and texts were captured from the
 implementation in which enumeration restated the qualification rule inline;
 they hold any later rewrite of the pair layer to the same classes, order and
 records.  The shift-only --mum digests equal the shift-and-swap ones: each
-maximally unipotent class is listed once under either convention.  The search digests were captured from the engine that cut each
-suffix block out of a per-length level; they hold any later rewrite of the
-search to the same outcomes.
+maximally unipotent class is listed once under either convention.  The
+depth-8 and depth-7 search digests were captured from the engine that cut
+each suffix block out of a per-length level, and the depth-10 digest, whose
+scans step up to five letters before a block, from the engine with
+five-letter blocks joined from per-letter runs; they hold any later rewrite
+of the search to the same outcomes.
 """
 
 import hashlib
@@ -124,10 +127,12 @@ SEARCH_OUTCOMES = {
         "42ddde6d3579b30be936687497d99450b1a0c927c5afad92224de810d36422e2",
     SearchConfig(max_depth=7, all_at_min_depth=True):
         "0660222a209cdcb8ffa87d31719a771a24fb4127d3cf3764b8346440dcdbef4a",
+    SearchConfig(max_depth=10):
+        "a9ecc8ee6c2d3a853e82bbb109816b37be4fd7982316f41b4d02bbf0e198ba06",
 }
 
 
-@pytest.mark.parametrize("cfg", list(SEARCH_OUTCOMES), ids=["depth-8", "depth-7-all"])
+@pytest.mark.parametrize("cfg", list(SEARCH_OUTCOMES), ids=["depth-8", "depth-7-all", "depth-10"])
 def test_search_outcomes_digest(cfg):
     # every degree-6 class left to witness search (|lc| >= 3), in
     # enumeration order: status, word, images, gcd and per-depth counts

@@ -1,6 +1,9 @@
 """Witness search engine: outcomes, node counts, workers, reference parity."""
 
 import random
+import sys
+from array import array
+from functools import lru_cache, reduce
 from itertools import product
 
 import pytest
@@ -22,13 +25,22 @@ from hgsp.search import (
     OBSTRUCTED,
     NodeBudgetExceeded,
     SearchConfig,
+    _Block,
     _Engine,
+    _size,
+    _suffix,
     gcd_obstruction,
     search_witness,
 )
 from hgsp.words import A, A_INV, B, B_INV, Word, inverse_letter
 
-from oracles import canonical_search, evaluate_word, reference_search, unimodular_inverse
+from oracles import (
+    canonical_search,
+    evaluate_word,
+    letter_matrix,
+    reference_search,
+    unimodular_inverse,
+)
 
 
 def table_pair(number):
@@ -226,8 +238,8 @@ def test_invalid_config_rejected():
 @pytest.fixture(scope="module")
 def oracle_cases():
     """A seed-picked sample of the degree-4, 6 and 8 classes that need a
-    witness (|lc| >= 3, no gcd obstruction), each with the canonical search
-    oracle's answer to depth 5."""
+    witness (|lc| >= 3, no gcd obstruction), and the degree-12 class
+    1^12|2^10,3, each with the canonical search oracle's answer to depth 5."""
     rng = random.Random(6021)
     cases = []
     for degree, k in ((4, 4), (6, 4), (8, 3)):
@@ -238,6 +250,8 @@ def oracle_cases():
         ]
         for pair in rng.sample(pairs, k):
             cases.append((pair, canonical_search(pair, 5)))
+    degree12 = make_pair(CycloFactorization.parse("1^12"), CycloFactorization.parse("2^10,3"))
+    cases.append((degree12, canonical_search(degree12, 5)))
     return cases
 
 
@@ -268,7 +282,7 @@ def deep_oracle_cases(oracle_cases):
 
 
 def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
-    # a length-6 word is a 1-letter prefix over a 5-letter suffix block
+    # a length-6 word is tested whole, as one 6-letter suffix block after the root
     (_, found), (_, missing) = deep_oracle_cases
     assert len(found[0]) == 6 and len(found[2]) > 1
     assert missing[0] is None
@@ -284,7 +298,7 @@ def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
 def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
     # depths 5 and 6 are past the pivot depth, so two workers split those
     # levels: each worker's 4-letter prefix meets a 1- or 2-letter block,
-    # where the serial scan takes at most one letter before a 5-letter block
+    # where the serial scan tests the whole word as one block
     shallow = next(
         case for case in oracle_cases if case[1][0] is None or len(case[1][0]) == 5
     )
@@ -304,9 +318,9 @@ def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
 
 def _block_engines():
     """Engines for rows 22 and 2, a degree-8 class and 1^12|2^12.  The
-    column-norm bound of 1^12|2^12 reaches 2^72 at length 5, so that level
-    keeps plain vectors; with v scaled by 2^40 the entries themselves pass
-    2^63 from length 4 on."""
+    entries of 1^12|2^12 stay below 2^35 to length 6; with v scaled by 2^40
+    they pass 2^63 from length 4 on, so its blocks cannot be unpacked and
+    most rows do not fit them."""
     degree8 = next(p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3)
     degree12 = make_pair(CycloFactorization.parse("1^12"), CycloFactorization.parse("2^12"))
     engines = []
@@ -323,27 +337,66 @@ BLOCK_ENGINES = _block_engines()
 BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in range(4)]
 
 
+@lru_cache(maxsize=None)
+def _suffixes(k, last):
+    """The reduced suffixes of length k that may follow last and do not end
+    in B (the empty suffix does not follow B), in lexicographic order."""
+    return tuple(
+        s for s in product(range(4), repeat=k)
+        if _reduced((last,) + s) and ((last,) + s)[-1] != B
+    )
+
+
+@lru_cache(maxsize=None)
+def _image(index, s):
+    """L_s v for the engine BLOCK_ENGINES[index], one matrix-vector product
+    per letter."""
+    gen, engine = BLOCK_ENGINES[index]
+    return mat_vec(letter_matrix(gen, s[0]), _image(index, s[1:])) if s else engine.v
+
+
+def _plain_vectors(index, k, last):
+    return [_image(index, s) for s in _suffixes(k, last)]
+
+
+def _unpack(block):
+    """w_s for each suffix of a block whose entries are below 2^63, read
+    from the 64-bit fields of its columns."""
+    size = 8 * block.count
+    coords = [array("Q", (c + block.bias).to_bytes(size, sys.byteorder)) for c in block.columns]
+    return [tuple(x - 2 ** 63 for x in w) for w in zip(*coords)]
+
+
+def test_suffix_positions_list_the_reduced_suffixes_in_order():
+    for k in range(_BLOCK_DEPTH + 1):
+        for last in range(4):
+            suffixes = _suffixes(k, last)
+            assert _size(k, last) == len(suffixes), (k, last)
+            assert tuple(_suffix(k, last, j) for j in range(len(suffixes))) == suffixes
+    assert max(_size(_BLOCK_DEPTH, last) for last in range(4)) == 547
+
+
 def test_blocks_hold_the_reduced_suffixes_in_order():
-    for gen, engine in BLOCK_ENGINES:
-        images = {}
+    for index, (_, engine) in enumerate(BLOCK_ENGINES):
         for k, last in BLOCK_KEYS:
             block = engine.block(k, last)
-            suffixes = [
-                s for s in product(range(4), repeat=k)  # lexicographic
-                if _reduced((last,) + s) and s[-1] != B
-            ]
-            for s in suffixes:
-                if s not in images:
-                    images[s] = mat_vec(evaluate_word(Word(s), gen), engine.v)
-            assert list(block.suffixes) == suffixes, (k, last)
-            assert list(block.vectors) == [images[s] for s in suffixes], (k, last)
-            assert max(sum(map(abs, w)) for w in block.vectors) <= block.l1
-            assert (block.columns is None) == (block.l1 >= 2 ** 63), (k, last)
-    # the 1^12|2^12 engines keep plain vectors from lengths 5 and 1 on
+            vectors = _plain_vectors(index, k, last)
+            assert block.count == _size(k, last) == len(vectors), (k, last)
+            # the signed packing of the vectors, whatever their size
+            assert list(block.columns) == [
+                sum(w[i] << 64 * j for j, w in enumerate(vectors)) for i in range(len(engine.v))
+            ], (k, last)
+            assert all(
+                abs(w[i]) <= block.bound[i] for w in vectors for i in range(len(w))
+            ), (k, last)
+            if max(block.bound) < 2 ** 63:
+                assert _unpack(block) == vectors, (k, last)
+    # only the scaled 1^12|2^12 engine has entries of 2^63 or more, from length 4 on
     assert [
-        min(k for k, last in BLOCK_KEYS if engine.block(k, last).columns is None)
-        for _, engine in BLOCK_ENGINES[3:]
-    ] == [5, 1]
+        min((k for k, last in BLOCK_KEYS if max(engine.block(k, last).bound) >= 2 ** 63),
+            default=None)
+        for _, engine in BLOCK_ENGINES
+    ] == [None, None, None, None, 4]
 
 
 def test_worker_prefixes_skip_a_first_b_inverse():
@@ -404,49 +457,81 @@ def _bezout(w):
 
 @st.composite
 def block_rows(draw, kind):
-    """A block and a row.  "hit": small entries moved so r . w_j = t for a
-    drawn suffix j and target t; "wide": entries of up to 80 bits, so most
-    rows break the 2^63 / l1 bound, moved the same way half the time;
-    "edge": one entry just under, at or over 2^63 / l1."""
-    _, engine = draw(st.sampled_from(BLOCK_ENGINES))
-    block = engine.block(*draw(st.sampled_from(BLOCK_KEYS)))
+    """A block, its plain vectors and a row.  "hit": small entries moved so
+    r . w_j = t for a drawn suffix j and target t; "wide": entries of up to
+    80 bits, so most rows do not fit, moved the same way half the time;
+    "edge": one entry set so that sum_i |r_i| bound[i] is just under, at or
+    just over 2^63."""
+    index = draw(st.integers(0, len(BLOCK_ENGINES) - 1))
+    _, engine = BLOCK_ENGINES[index]
+    k, last = draw(st.sampled_from(BLOCK_KEYS))
+    block, vectors = engine.block(k, last), _plain_vectors(index, k, last)
     scale = 1 << draw(st.sampled_from((12, 24, 40, 52, 60, 64, 72))) if kind == "wide" else 1
     row = [scale * x for x in draw(st.lists(
         st.integers(-255, 255), min_size=len(engine.v), max_size=len(engine.v)))]
     if kind == "edge":
-        sign = draw(st.sampled_from((1, -1)))
-        row[draw(st.integers(0, len(row) - 1))] = sign * (
-            2 ** 63 // block.l1 + draw(st.sampled_from((-1, 0, 1))))
+        i = draw(st.sampled_from([i for i, b in enumerate(block.bound) if b]))
+        rest = sum(abs(r) * b for j, (r, b) in enumerate(zip(row, block.bound)) if j != i)
+        row[i] = draw(st.sampled_from((1, -1))) * max(
+            0, (2 ** 63 - rest) // block.bound[i] + draw(st.sampled_from((-1, 0, 1))))
     elif kind == "hit" or draw(st.booleans()):
-        w = block.vectors[draw(st.integers(0, len(block.vectors) - 1))]
+        w = vectors[draw(st.integers(0, len(vectors) - 1))]
         target = draw(st.sampled_from((1, -1, 2, -2)))
         g, coeffs = _bezout(w)
         if target % g == 0:
             shift = (target - sum(a * b for a, b in zip(row, w))) // g
             row = [r + shift * c for r, c in zip(row, coeffs)]
-    return block, tuple(row)
+    return block, vectors, tuple(row)
 
 
 @pytest.mark.parametrize("kind", ["hit", "wide", "edge"])
 @given(data=st.data())
 def test_packed_block_test_matches_plain_dot_products(kind, data):
-    block, row = data.draw(block_rows(kind))
-    plain = [
-        j for j, w in enumerate(block.vectors)
-        if sum(a * b for a, b in zip(row, w)) in (1, -1, 2, -2)
-    ]
-    assert block.candidates(row) == plain
+    block, vectors, row = data.draw(block_rows(kind))
+    dots = [sum(a * b for a, b in zip(row, w)) for w in vectors]
+    if block.fits(row):
+        # the bound leaves every field room: no dot product reaches 2^63
+        assert all(abs(d) < 2 ** 63 for d in dots)
+        assert block.candidates(row) == [j for j, d in enumerate(dots) if d in (1, -1, 2, -2)]
 
 
 def test_packed_block_test_finds_a_witness_under_the_bound():
-    # row 22's witness AB^4A: the prefix AB leaves the suffix B^3A, and the
-    # prefix A (as the depth-6 scan takes it) the suffix B^4A; both prefix
-    # rows are small enough for the packed test
-    gen, engine = BLOCK_ENGINES[0]
-    for prefix, k, suffix in (((A, B), 4, (B, B, B, A)), ((A,), 5, (B, B, B, B, A))):
-        row = engine.root
-        for y in prefix:
-            row = engine._step(row, y)
-        block = engine.block(k, prefix[-1])
-        assert max(map(abs, row)) * block.l1 < 2 ** 63
-        assert block.suffixes[block.candidates(row)[0]] == suffix
+    # row 22's witness AB^4A: the prefix AB leaves the suffix B^3A, the
+    # prefix A the suffix B^4A, and the root (as the depth-6 scan takes it)
+    # the whole word; every prefix row fits its block
+    _, engine = BLOCK_ENGINES[0]
+    word = (A, B, B, B, B, A)
+    for cut in (2, 1, 0):
+        row = reduce(engine._step, word[:cut], engine.root)
+        last, k = (word[cut - 1] if cut else B), len(word) - cut
+        block = engine.block(k, last)
+        assert block.fits(row)
+        assert _suffix(k, last, block.candidates(row)[0]) == word[cut:]
+
+
+def test_rows_that_do_not_fit_are_descended(monkeypatch, oracle_cases, deep_oracle_cases):
+    # the scaled 1^12|2^12 engine: most rows do not fit, down to length 0,
+    # and no last entry (a multiple of 2^40) can pass
+    fits, refused = _Block.fits, []
+
+    def counting(block, row):
+        if not fits(block, row):
+            refused.append(block.count)
+            return False
+        return True
+
+    monkeypatch.setattr(_Block, "fits", counting)
+    _, engine = BLOCK_ENGINES[-1]
+    hits = []
+    engine.scan(engine.root, B, 8, [], hits, True)
+    assert hits == [] and len(refused) > 1000
+    assert min(refused) <= 3  # a length-1 block: its rows went on to length 0
+    # real rows, every one refused (each word is tested alone at length 0)
+    # or refused on a fixed pattern: the outcome equals the canonical oracle's
+    for refuse in (lambda row: True, lambda row: sum(row) % 3 == 0):
+        monkeypatch.setattr(_Block, "fits", lambda block, row: not refuse(row))
+        for pair, (word, per_depth, every) in [oracle_cases[-1]] + deep_oracle_cases:
+            depth = len(per_depth)
+            out = search_witness(pair, SearchConfig(max_depth=depth, all_at_min_depth=True))
+            assert out.word == word and out.nodes_per_depth == per_depth, pair.pair_id
+            assert (out.words_at_depth or ()) == every, pair.pair_id
