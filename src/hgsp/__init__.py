@@ -37,13 +37,7 @@ from .pairs import (
 )
 from .poly import IntPoly
 from .report import ReproductionReport, build_report
-from .search import (
-    NodeBudgetExceeded,
-    SearchConfig,
-    SearchOutcome,
-    gcd_obstruction,
-    search_witness,
-)
+from .search import SearchConfig, SearchOutcome, gcd_obstruction, search_witness
 from .words import Word, WordSyntaxError
 
 __all__ = [
@@ -53,7 +47,6 @@ __all__ = [
     "GeneratorPair",
     "IntPoly",
     "InvariantFormError",
-    "NodeBudgetExceeded",
     "NotCyclotomicProduct",
     "NotQualifiedError",
     "PairClassification",

@@ -16,7 +16,7 @@ totient(m) > MAX_DEGREE, is a usage error caught before anything is
 expanded or factored.
 
 Exit codes: 0 success, 1 domain failure (failed verdict, unqualified
-pair, report mismatch, exhausted budget), 2 usage or syntax error.
+pair, report mismatch), 2 usage or syntax error.
 """
 
 from __future__ import annotations
@@ -59,13 +59,7 @@ from .pairs import (
 )
 from .poly import parse_coefficients
 from .report import build_report
-from .search import (
-    FOUND,
-    OBSTRUCTED,
-    NodeBudgetExceeded,
-    SearchConfig,
-    search_witness,
-)
+from .search import FOUND, OBSTRUCTED, SearchConfig, search_witness
 from .words import NotReducedError, Word, WordSyntaxError
 
 CSV_COLUMNS = (
@@ -312,14 +306,9 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     cfg = SearchConfig(
         max_depth=args.max_depth,
         workers=args.threads,
-        node_budget=args.node_budget,
         all_at_min_depth=args.all_at_min_depth,
     )
-    try:
-        outcome = search_witness(pair, cfg)
-    except NodeBudgetExceeded as exc:
-        print(f"search aborted: {exc}", file=sys.stderr)
-        return 1
+    outcome = search_witness(pair, cfg)
     if outcome.status == FOUND:
         report = verify_witness(pair, outcome.word)
         if not report.verdict:
@@ -385,7 +374,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    result = build_report(convention=args.convention)
+    result = build_report()
     if args.json:
         print(json.dumps(result.to_json()))
     else:
@@ -423,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_arguments(p_search)
     p_search.add_argument("--max-depth", type=_positive_int, default=9)
     p_search.add_argument("--threads", type=_positive_int, default=1)
-    p_search.add_argument("--node-budget", type=_positive_int, default=None)
     p_search.add_argument(
         "--all-at-min-depth",
         action="store_true",
@@ -441,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_report = sub.add_parser("report", help="cross-check the census against the tables")
-    p_report.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
     p_report.add_argument("--json", action="store_true")
     p_report.set_defaults(func=_cmd_report)
 

@@ -65,12 +65,6 @@ class IntPoly:
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def coefficient(self, k: int) -> int:
-        """Coefficient of x^k (zero when k exceeds the degree)."""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":

@@ -49,11 +49,11 @@ uA does and B^-1 u iff A^-1 u, and the A-version comes first in the
 order or reduces to a word two letters shorter.  So no block holds a
 suffix ending in B (the empty suffix does not follow B), the root skips
 B^-1, and with workers each level deeper than 4 is split over the 81
-reduced words of length 4 that do not start with B^-1, whose rows each
-worker steps once.  With all_at_min_depth the passing words found are
-closed under both swaps (a final A becomes B, a first A^-1 becomes B^-1);
-at the minimal depth every swapped word is reduced, since otherwise a
-word two letters shorter would pass.
+reduced words of length 4 that do not start with B^-1, each task stepping
+its prefix's row from the root.  With all_at_min_depth the passing words
+found are closed under both swaps (a final A becomes B, a first A^-1
+becomes B^-1); at the minimal depth every swapped word is reduced, since
+otherwise a word two letters shorter would pass.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import operator
 import os
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -103,7 +102,6 @@ _PREFIXES = tuple(
 class SearchConfig:
     max_depth: int = 9
     workers: int = 1
-    node_budget: Optional[int] = None
     all_at_min_depth: bool = False
 
 
@@ -111,13 +109,25 @@ class SearchConfig:
 class SearchOutcome:
     status: str
     max_depth: int
-    nodes_visited: int
-    nodes_per_depth: tuple[tuple[int, int], ...]
     word: Optional[Word] = None
     gamma_v: Optional[Vector] = None
     gamma_inv_v: Optional[Vector] = None
     gcd: Optional[int] = None
     words_at_depth: Optional[tuple[Word, ...]] = None
+
+    @property
+    def nodes_per_depth(self) -> tuple[tuple[int, int], ...]:
+        """(d, 4 * 3^(d-1)) for every level settled: up to the witness's
+        length, up to max_depth if none was found, none if obstructed."""
+        if self.status == OBSTRUCTED:
+            depth = 0
+        else:
+            depth = len(self.word) if self.word is not None else self.max_depth
+        return tuple((d, 4 * 3 ** (d - 1)) for d in range(1, depth + 1))
+
+    @property
+    def nodes_visited(self) -> int:
+        return sum(count for _, count in self.nodes_per_depth)
 
     def to_json(self) -> dict:
         return {
@@ -139,18 +149,6 @@ class SearchOutcome:
                 else None
             ),
         }
-
-
-class NodeBudgetExceeded(RuntimeError):
-    """Raised before starting a level that would overrun the node budget."""
-
-    def __init__(self, depth_completed: int, nodes_visited: int):
-        self.depth_completed = depth_completed
-        self.nodes_visited = nodes_visited
-        super().__init__(
-            f"node budget reached after depth {depth_completed} "
-            f"({nodes_visited} words settled)"
-        )
 
 
 # -- engine internals ---------------------------------------------------------
@@ -328,20 +326,19 @@ class _Engine:
 
 # Worker-side state, installed once per process by the pool initializer.
 _WORKER_ENGINE: Optional[_Engine] = None
-_WORKER_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}  # the last row of each prefix
 
 
 def _worker_init(gen, v):
-    global _WORKER_ENGINE, _WORKER_ROWS
-    _WORKER_ENGINE = engine = _Engine(gen, v)
-    _WORKER_ROWS = {p: reduce(engine._step, p, engine.root) for p in _PREFIXES}
+    global _WORKER_ENGINE
+    _WORKER_ENGINE = _Engine(gen, v)
 
 
 def _worker_scan(args):
     letters, depth, collect_all = args
+    engine = _WORKER_ENGINE
     hits: list[tuple[int, ...]] = []
-    row = _WORKER_ROWS[letters]
-    _WORKER_ENGINE.scan(row, letters[-1], depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
+    row = reduce(engine._step, letters, engine.root)
+    engine.scan(row, letters[-1], depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
     return hits
 
 
@@ -358,30 +355,22 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
         raise ValueError("max_depth must be at least 1")
     if cfg.workers < 1:
         raise ValueError("workers must be at least 1")
-    if cfg.node_budget is not None and cfg.node_budget < 1:
-        raise ValueError("node_budget must be at least 1")
     gen = build_generators(pair)
     v = transvection_vector(gen)
     g = gcd_obstruction(v)
     if g is not None:
-        return SearchOutcome(
-            status=OBSTRUCTED, max_depth=cfg.max_depth, nodes_visited=0,
-            nodes_per_depth=(), gcd=g,
-        )
+        return SearchOutcome(status=OBSTRUCTED, max_depth=cfg.max_depth, gcd=g)
     engine = _Engine(gen, v)
     workers = min(cfg.workers, os.cpu_count() or 1)
     pool = None
     try:
         if workers > 1 and cfg.max_depth > _PIVOT_DEPTH:
+            from concurrent.futures import ProcessPoolExecutor  # loaded only when used
+
             pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(gen, v),
             )
-        nodes_total = 0
-        per_depth: list[tuple[int, int]] = []
         for depth in range(1, cfg.max_depth + 1):
-            count = 4 * 3 ** (depth - 1)  # the level settles every reduced word
-            if cfg.node_budget is not None and nodes_total + count > cfg.node_budget:
-                raise NodeBudgetExceeded(depth - 1, nodes_total)
             hits: list[tuple[int, ...]] = []
             if pool is not None and depth > _PIVOT_DEPTH:
                 tasks = ((p, depth, cfg.all_at_min_depth) for p in _PREFIXES)
@@ -390,15 +379,11 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
                     hits.extend(sub_hits)
             else:
                 engine.scan(engine.root, _ROOT_LAST, depth, [], hits, cfg.all_at_min_depth)
-            nodes_total += count
-            per_depth.append((depth, count))
             if hits:
                 gamma_v, gamma_inv_v = word_images(engine.mats, v, hits[0])
                 return SearchOutcome(
                     status=FOUND,
                     max_depth=cfg.max_depth,
-                    nodes_visited=nodes_total,
-                    nodes_per_depth=tuple(per_depth),
                     word=Word(hits[0]),
                     gamma_v=gamma_v,
                     gamma_inv_v=gamma_inv_v,
@@ -407,12 +392,7 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
                         if cfg.all_at_min_depth else None
                     ),
                 )
-        return SearchOutcome(
-            status=NOT_FOUND,
-            max_depth=cfg.max_depth,
-            nodes_visited=nodes_total,
-            nodes_per_depth=tuple(per_depth),
-        )
+        return SearchOutcome(status=NOT_FOUND, max_depth=cfg.max_depth)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -66,9 +66,6 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple(inverse_letter(code) for code in reversed(self.letters)))
-
     def __str__(self) -> str:
         if not self.letters:
             return ""

@@ -24,6 +24,9 @@ ever inverts companion matrices, in closed form.
 gamma^-1 from ``evaluate_word``, the conjugates C1, C2, C3 as matrices, and
 ``is_transvection`` from a rank and a square.  The library writes the
 conjugates in rank-one form instead; both must give the same report.
+
+``word_inverse`` and ``coefficient`` are small helpers that only the tests
+need.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from hgsp.linalg import (
     solve_scaled,
 )
 from hgsp.pairs import QualifiedPair
+from hgsp.poly import IntPoly
 from hgsp.words import Word, inverse_letter
 
 
@@ -65,6 +69,16 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def coefficient(p: IntPoly, k: int) -> int:
+    """Coefficient of x^k in p (zero when k exceeds the degree)."""
+    return p.coeffs[k] if k < len(p.coeffs) else 0
+
+
+def word_inverse(word: Word) -> Word:
+    """The inverse word: the letters reversed, each one inverted."""
+    return Word(inverse_letter(code) for code in reversed(word.letters))
 
 
 def letter_matrix(gen: GeneratorPair, code: int) -> Matrix:
@@ -371,7 +385,7 @@ def matrix_certificate(pair: QualifiedPair, word: Word) -> CertificateReport:
     form = invariant_symplectic_form(gen, v)
     n = gen.degree
     gamma = evaluate_word(word, gen)
-    gamma_inv = evaluate_word(word.inverse(), gen)
+    gamma_inv = evaluate_word(word_inverse(word), gen)
     w1 = v
     w2 = mat_vec(gamma_inv, v)
     w3 = mat_vec(gamma, v)

@@ -178,7 +178,7 @@ def test_search_obstructed(capsys):
     assert blob["gcd"] == 4
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--max-depth", "--node-budget"])
+@pytest.mark.parametrize("flag", ["--threads", "--max-depth"])
 def test_search_rejects_zero_counts(capsys, flag):
     # argparse rejects the value before any search or process starts
     with pytest.raises(SystemExit) as err:
@@ -188,12 +188,13 @@ def test_search_rejects_zero_counts(capsys, flag):
 
 
 def test_search_budget_exhaustion_exits_one(capsys):
-    rc, _, err = run(
-        capsys, "search", "--f", "1^6", "--g", "2^4,3",
-        "--max-depth", "9", "--node-budget", "100", "--no-cache",
-    )
-    assert rc == 1
-    assert "node budget reached after depth 3 (52 words settled)" in err
+    """search has no node budget: --node-budget is an unknown option."""
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--f", "1^6", "--g", "2^4,3", "--node-budget", "100", "--no-cache"])
+    assert err.value.code == 2
+    usage, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage:")
+    assert line == "hgsp: error: unrecognized arguments: --node-budget 100"
 
 
 def test_search_cache_round_trip(tmp_path, capsys):
@@ -495,6 +496,11 @@ def test_report_json(capsys):
 
 
 def test_report_flipped_convention_fails(capsys):
-    rc, out, _ = run(capsys, "report", "--convention", "shift")
-    assert rc == 1
-    assert "result: FAIL" in out
+    """report runs under the default convention only: --convention is an
+    unknown option (enumerate keeps it)."""
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--convention", "shift"])
+    assert err.value.code == 2
+    usage, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage:")
+    assert line == "hgsp: error: unrecognized arguments: --convention shift"

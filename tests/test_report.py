@@ -4,7 +4,6 @@ import dataclasses
 
 from hgsp import fixtures
 from hgsp.fixtures import TABLE_A, TABLE_D
-from hgsp.pairs import SHIFT
 from hgsp.report import build_report
 
 
@@ -75,14 +74,6 @@ def test_wrong_expected_counts_fail(monkeypatch):
     check = next(c for c in report.checks if c.name == "counts")
     assert not check.passed
     assert "458" in check.detail
-
-
-def test_flipped_convention_fails_with_its_own_totals():
-    report = build_report(convention=SHIFT)
-    assert not report.passed
-    check = next(c for c in report.checks if c.name == "counts")
-    assert not check.passed
-    assert "906" in check.detail
 
 
 def test_failing_render_marks_result(monkeypatch):

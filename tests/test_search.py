@@ -1,6 +1,9 @@
 """Witness search engine: outcomes, node counts, workers, reference parity."""
 
+import concurrent.futures
+import os
 import random
+import subprocess
 import sys
 from array import array
 from functools import lru_cache, reduce
@@ -23,7 +26,6 @@ from hgsp.search import (
     FOUND,
     NOT_FOUND,
     OBSTRUCTED,
-    NodeBudgetExceeded,
     SearchConfig,
     _Block,
     _Engine,
@@ -142,7 +144,7 @@ def test_workers_capped_at_cpu_count(monkeypatch):
         raise AssertionError("no worker process may start")
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     pair = table_pair(35)
     one = search_witness(pair, SearchConfig(max_depth=6, workers=1))
     eight = search_witness(pair, SearchConfig(max_depth=6, workers=8))
@@ -151,16 +153,28 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert eight.nodes_per_depth == one.nodes_per_depth
 
 
-def test_node_budget_stops_before_overrun():
-    with pytest.raises(NodeBudgetExceeded) as err:
-        search_witness(table_pair(2), SearchConfig(max_depth=9, node_budget=100))
-    assert err.value.depth_completed == 3
-    assert err.value.nodes_visited == 52
+@pytest.mark.parametrize("number,max_depth,status,reached", [
+    (20, 5, FOUND, 3),  # up to the witness's length
+    (2, 4, NOT_FOUND, 4),  # up to max_depth
+    (1, 9, OBSTRUCTED, 0),  # no level at all
+])
+def test_node_counts_follow_from_the_depth_reached(number, max_depth, status, reached):
+    out = search_witness(table_pair(number), SearchConfig(max_depth=max_depth))
+    assert out.status == status
+    expected = tuple((d, 4 * 3 ** (d - 1)) for d in range(1, reached + 1))
+    assert out.nodes_per_depth == expected
+    assert out.nodes_visited == sum(count for _, count in expected)
 
 
-def test_budget_large_enough_is_harmless():
-    out = search_witness(table_pair(20), SearchConfig(max_depth=3, node_budget=52))
-    assert out.status == FOUND
+def test_import_does_not_load_the_process_pool():
+    code = (
+        "import sys, hgsp; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _reduced(letters):
@@ -231,8 +245,6 @@ def test_invalid_config_rejected():
         search_witness(table_pair(20), SearchConfig(max_depth=-1))
     with pytest.raises(ValueError):
         search_witness(table_pair(20), SearchConfig(max_depth=3, workers=0))
-    with pytest.raises(ValueError):
-        search_witness(table_pair(20), SearchConfig(max_depth=3, node_budget=0))
 
 
 @pytest.fixture(scope="module")
