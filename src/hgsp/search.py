@@ -15,45 +15,58 @@ is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
 is the only state the search carries.  A step r -> r L copies entry i of r
 where column j of L is e_i and takes one dot product over the nonzeros of
 every other column.  The last 6 letters of every word (all of a shorter
-one) are tested as a suffix block: the at most 547 reduced suffixes s that
-may follow the prefix, in lexicographic order, with each coordinate of
-w_s = L_s v packed into one big int at 64 bits per suffix.  A block stores
-only its count; the suffix at position j is decoded from j by counting
-suffixes, counts that do not depend on the pair.  One dot product of r with
-the packed coordinates gives every r . w_s at once.  Each block carries a
-per-coordinate bound, bound[i] >= max_s |w_s[i]|, and the packed test is
-used only when sum_i |r_i| bound[i] < 2^63; that keeps each r . w_s + 2^63
-inside its unsigned 64-bit field, and the hits are read from the fields.
-The four good fields are fixed 8-byte strings, so a block with none of
-them in its bytes is dismissed without decoding.  A row that does not fit
-its block steps one more letter and tests the shorter blocks, down to
-length 0, where r . v is taken alone.  A word whose last entry passes is
-confirmed with 2k matrix-vector products, gamma(v) from its last letter
-back and gamma^-1(v) from its first letter on, and the independence test.
+one) are tested as a suffix block: the at most 486 suffixes s that may
+follow the prefix, in lexicographic order, with each coordinate of
+w_s = L_s v packed into one big int at 32 or 64 bits per suffix.  A block
+stores only its count; the suffix at position j is decoded from j by
+counting suffixes, counts that do not depend on the pair.  One dot product
+of r with the packed coordinates gives every r . w_s at once.  Each block
+carries a per-coordinate bound, bound[i] >= max_s |w_s[i]|, the same at
+both widths, and the row's load sum_i |r_i| bound[i] picks the width: the
+32-bit block when the load is below 2^31, else the 64-bit block when it is
+below 2^63.  At width W that keeps each r . w_s + 2^(W-1) inside its
+unsigned W-bit field, and the hits are read from the fields.  The four good
+fields are fixed W/8-byte strings, so a block with none of them in its
+bytes is dismissed without decoding.  A row whose load reaches 2^63 steps
+one more letter and tests the shorter blocks, down to length 0, where
+r . v is taken alone.  A word whose last entry passes is confirmed with 2k
+matrix-vector products, gamma(v) from its last letter back and
+gamma^-1(v) from its first letter on, and the independence test.
 
 The block of length k that follows a letter x holds y s for each letter y
 allowed after x and each s in the block of length k - 1 that follows y, so
 it is three runs joined in letter order.  Each run L_y (block k - 1 after
-y) is built once per length, packed: L_y applied to the block's n packed
-columns, with bound |L_y| times the block's bound, |L_y| taken entrywise.
-Joining signed packings is exact whatever the fields' sizes: a run goes in
-shifted up by 64 bits per suffix before it, and the joined bound is the
-runs' coordinate-wise max.  The bound at length 0 is |v|.  So every length
-stays packed, however large its entries.
+y) is built once per length and width, packed: L_y applied to the block's
+n packed columns, with bound |L_y| times the block's bound, |L_y| taken
+entrywise.  Joining signed packings is exact whatever the fields' sizes: a
+run goes in shifted up by W bits per suffix before it, and the joined
+bound is the runs' coordinate-wise max.  The bound at length 0 is |v|.  So
+every length stays packed at both widths, however large its entries.
 
-Pruning rule: no tested word ends in B or starts with B^-1.  Proof:
-T = A^-1 B fixes e_1 .. e_{n-1} and Tv = v (v_n = 0 as f and g are
-monic), so gamma, gamma T and T gamma share the last entry and the span
-{v, gamma(v), gamma^-1(v)}; as B = AT and B^-1 = T^-1 A^-1, uB passes iff
-uA does and B^-1 u iff A^-1 u, and the A-version comes first in the
-order or reduces to a word two letters shorter.  So no block holds a
-suffix ending in B (the empty suffix does not follow B), the root skips
-B^-1, and with workers each level deeper than 4 is split over the 81
-reduced words of length 4 that do not start with B^-1, each task stepping
-its prefix's row from the root.  With all_at_min_depth the passing words
-found are closed under both swaps (a final A becomes B, a first A^-1
-becomes B^-1); at the minimal depth every swapped word is reduced, since
-otherwise a word two letters shorter would pass.
+Pruning rules.  T = A^-1 B fixes e_1 .. e_{n-1}, so T = I + v e_n^T with
+Tv = v (v_n = 0 as f and g are monic), e_n^T T = e_n^T and Tx = x + x_n v.
+So gamma, gamma T^+-1 and T^+-1 gamma share the last entry of gamma(v)
+and the span {v, gamma(v), gamma^-1(v)}, and pass together.
+- No tested word ends in B or starts with B^-1: as B = AT and
+  B^-1 = T^-1 A^-1, uB passes iff uA does and B^-1 u iff A^-1 u, and the
+  A-version comes first in the order or reduces to a word two letters
+  shorter.
+- No tested word ends in B^-1 A, and none that the scan steps from the
+  root starts with A^-1 B: u B^-1 A = u T^-1 and A^-1 B u = T u pass iff
+  u does, a word two letters shorter, so they are never a minimal-depth
+  witness.  Inside a root block (depth <= 6) the A^-1 B words are still
+  tested; they cannot pass.
+The suffix rules look up to two letters back, so the scan state is the
+last letter, or a fifth state "A after B^-1": its children are A's, and
+the empty suffix follows neither it nor B.  The suffix counts and the
+length-0 blocks follow from that table, and from length 1 on the block
+after the fifth state is the block after A.  With workers each level
+deeper than 4 is split over the 72 reduced words of length 4 that start
+with neither B^-1 nor A^-1 B, each task stepping its prefix's row from the
+root.  With all_at_min_depth the passing words found are closed under both
+swaps (a final A becomes B, a first A^-1 becomes B^-1); at the minimal
+depth every swapped word is reduced, since otherwise a word two letters
+shorter would pass.
 """
 
 from __future__ import annotations
@@ -79,23 +92,48 @@ OBSTRUCTED = "obstructed"
 _PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
 _BLOCK_DEPTH = 6  # the last letters of every word are tested as one suffix block
 _GOOD_LAST = frozenset((1, -1, 2, -2))
-_HALF = 1 << 63
-_GOOD_FIELDS = frozenset(_HALF + t for t in _GOOD_LAST)
-_GOOD_BYTES = tuple(x.to_bytes(8, sys.byteorder) for x in sorted(_GOOD_FIELDS))
+_WIDTHS = (32, 64)  # bits per suffix in a packed block, narrowest first
 _ALL_LETTERS = (0, 1, 2, 3)
-# Children of a node whose last letter is x: every letter except x's inverse,
-# in canonical order.
+# A scan state is the last letter of the word so far, or _A_AFTER_B_INV: an A
+# whose letter before is B^-1.  A tested word may not end in B or in B^-1 A.
+_A_AFTER_B_INV = 4
+_LETTER = (A, B, A_INV, B_INV, A)  # the last letter of each state
+_MAY_END = (True, False, True, True, False)
+# Children of a state: every letter except its last letter's inverse, in
+# canonical order, each as the state it leads to.
 _ALLOWED = tuple(
-    tuple(y for y in _ALL_LETTERS if y != inverse_letter(x)) for x in _ALL_LETTERS
+    tuple(
+        _A_AFTER_B_INV if x == B_INV and y == A else y
+        for y in _ALL_LETTERS if y != inverse_letter(x)
+    )
+    for x in _LETTER
 )
 # The root is scanned as if it followed a B: neither is followed by B^-1.
 _ROOT_LAST = B
-# The reduced words of length _PIVOT_DEPTH that do not start with B^-1, in
-# lexicographic order: with workers, every deeper level is split over them.
+# The reduced words of length _PIVOT_DEPTH that start with neither B^-1 nor
+# A^-1 B, in lexicographic order: with workers, every deeper level is split
+# over them.
 _PREFIXES = tuple(
     p for p in product(_ALL_LETTERS, repeat=_PIVOT_DEPTH)
-    if all(y in _ALLOWED[x] for x, y in zip((_ROOT_LAST,) + p, p))
+    if p[0] != B_INV and p[:2] != (A_INV, B)
+    and all(y != inverse_letter(x) for x, y in zip(p, p[1:]))
 )
+
+
+def _field_format(width: int):
+    """The packed test's constants at one field width: the bias 2^(width-1)
+    of a field, the four good fields and their bytes, and the array typecode
+    that reads a field."""
+    typecode = {32: "I", 64: "Q"}[width]
+    if array(typecode).itemsize * 8 != width:
+        raise ImportError(f"array typecode {typecode!r} is not {width} bits here")
+    half = 1 << (width - 1)
+    good = sorted(half + t for t in _GOOD_LAST)
+    return (half, frozenset(good),
+            tuple(x.to_bytes(width // 8, sys.byteorder) for x in good), typecode)
+
+
+_FIELDS = {width: _field_format(width) for width in _WIDTHS}
 
 
 @dataclass(frozen=True)
@@ -183,67 +221,73 @@ def _close_hits(hits) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _bias(count: int) -> int:
-    """sum_j 2^63 2^(64 j) over count fields."""
-    return int.from_bytes(array("Q", [_HALF]).tobytes() * count, sys.byteorder)
+def _bias(count: int, width: int) -> int:
+    """sum_j 2^(width-1) 2^(width j) over count fields."""
+    half, _, _, typecode = _FIELDS[width]
+    return int.from_bytes(array(typecode, [half]).tobytes() * count, sys.byteorder)
 
 
 @lru_cache(maxsize=None)
 def _size(k: int, last: int) -> int:
-    """How many reduced suffixes of length k may follow last and do not end in B."""
+    """How many suffixes of length k may follow the state last."""
     if k == 0:
-        return int(last != B)
+        return int(_MAY_END[last])
     return sum(_size(k - 1, y) for y in _ALLOWED[last])
 
 
 def _suffix(k: int, last: int, j: int) -> tuple[int, ...]:
-    """The suffix at position j of the block of length k that follows last."""
+    """The suffix at position j of the block of length k that follows the
+    state last."""
     letters = []
     for rest in range(k - 1, -1, -1):  # the letters left after this one
         for y in _ALLOWED[last]:
             if j < _size(rest, y):
                 break
             j -= _size(rest, y)
-        letters.append(y)
+        letters.append(_LETTER[y])
         last = y
     return tuple(letters)
 
 
 class _Block:
-    """The w_s = L_s v for the reduced suffixes s of one length that may
-    follow one letter and do not end in B, in lexicographic order, packed:
-    with j the position of s, columns[i] = sum_s w_s[i] 2^(64 j), a signed
-    packing, and bound[i] >= max_s |w_s[i]|.
+    """The w_s = L_s v for the suffixes s of one length that may follow one
+    state, in lexicographic order, packed at width bits per suffix: with j
+    the position of s, columns[i] = sum_s w_s[i] 2^(width j), a signed
+    packing, and bound[i] >= max_s |w_s[i]|, the same at every width.
 
-    If sum_i |r_i| bound[i] < 2^63 then every |r . w_s| < 2^63, so field j
-    of sum_i r_i columns[i] + bias is exactly r . w_s + 2^63, with no carry.
+    If the load sum_i |r_i| bound[i] is below 2^(width-1) then every
+    |r . w_s| < 2^(width-1), so field j of sum_i r_i columns[i] + bias is
+    exactly r . w_s + 2^(width-1), with no carry.
     """
 
-    def __init__(self, count: int, columns, bound):
+    def __init__(self, count: int, columns, bound, width: int):
         self.count = count
         self.columns = columns
         self.bound = bound
-        self.bias = _bias(count)
+        self.width = width
+        self.bias = _bias(count, width)
 
-    def fits(self, row) -> bool:
-        """Whether the packed test is exact for this row."""
-        return sum(map(operator.mul, map(abs, row), self.bound)) < _HALF
+    def load(self, row) -> int:
+        """sum_i |r_i| bound[i]: the packed test is exact when this is below
+        2^(width-1)."""
+        return sum(map(operator.mul, map(abs, row), self.bound))
 
     def candidates(self, row) -> list[int]:
         """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending,
-        for a row that fits."""
+        for a row whose load is below 2^(width-1)."""
+        _, fields, good, typecode = _FIELDS[self.width]
         packed = sum(map(operator.mul, row, self.columns), self.bias)
-        data = packed.to_bytes(8 * self.count, sys.byteorder)
+        data = packed.to_bytes(self.width // 8 * self.count, sys.byteorder)
         # a pattern may straddle two fields, so only a match decodes them
-        if not (_GOOD_BYTES[0] in data or _GOOD_BYTES[1] in data
-                or _GOOD_BYTES[2] in data or _GOOD_BYTES[3] in data):
+        if not (good[0] in data or good[1] in data or good[2] in data or good[3] in data):
             return []
-        return [j for j, x in enumerate(memoryview(data).cast("Q")) if x in _GOOD_FIELDS]
+        return [j for j, x in enumerate(memoryview(data).cast(typecode)) if x in fields]
 
 
 class _Engine:
     """Shared state for one search: each letter's row plan, and the suffix
-    blocks and the runs they are joined from, built on first use."""
+    blocks and the runs they are joined from, at each width, built on first
+    use."""
 
     def __init__(self, gen: GeneratorPair, v: Vector):
         self.v = v
@@ -254,45 +298,58 @@ class _Engine:
             _row_plan(transpose([list(map(abs, r)) for r in m])) for m in self.mats
         )
         self.root = (0,) * (gen.degree - 1) + (1,)
-        # The empty suffix may follow every letter except B: no tested word
-        # ends in B.
-        zero = (0,) * len(v)
-        self.blocks: dict[tuple[int, int], _Block] = {  # by (length, previous letter)
-            (0, x): _Block(0, zero, zero) if x == B else _Block(1, v, tuple(map(abs, v)))
-            for x in _ALL_LETTERS
-        }
-        self.runs: dict[tuple[int, int], _Block] = {}  # by (length, first letter)
+        # by (length, state, width) and (length, first state, width); a block
+        # of length k >= 1 depends only on the state's letter, and so does a
+        # run of length k >= 2
+        self.blocks: dict[tuple[int, int, int], _Block] = {}
+        self.runs: dict[tuple[int, int, int], _Block] = {}
 
     def _step(self, row, letter: int):
         return _apply(self.plans[letter], row)
 
-    def _run(self, k: int, y: int) -> _Block:
-        """The suffixes y s of length k: L_y applied to the n packed columns of
-        block (k - 1, y), with bound |L_y| times that block's bound."""
-        key = (k, y)
+    def _run(self, k: int, y: int, width: int) -> _Block:
+        """The suffixes of length k that start in the state y: L_y applied
+        to the n packed columns of block (k - 1, y), with bound |L_y| times
+        that block's bound."""
+        key = (k, _LETTER[y] if k > 1 else y, width)
         if key not in self.runs:
-            part = self.block(k - 1, y)
+            part, letter = self.block(k - 1, y, width), _LETTER[y]
             self.runs[key] = _Block(
-                part.count, _apply(self.vec_plans[y], part.columns),
-                _apply(self.bound_plans[y], part.bound),
+                part.count, _apply(self.vec_plans[letter], part.columns),
+                _apply(self.bound_plans[letter], part.bound), width,
             )
         return self.runs[key]
 
-    def block(self, k: int, last: int) -> _Block:
-        """The runs of length k whose first letter may follow last, joined in
-        letter order: each run's signed packing moves up 64 bits for every
-        suffix in the runs before it, and the bound is the runs' coordinate-wise
-        max."""
-        key = (k, last)
+    def block(self, k: int, last: int, width: int = _WIDTHS[0]) -> _Block:
+        """The runs of length k whose first state may follow the state last,
+        joined in letter order: each run's signed packing moves up width bits
+        for every suffix in the runs before it, and the bound is the runs'
+        coordinate-wise max.  At length 0 the block is v alone, or empty
+        where a tested word may not end."""
+        key = (k, _LETTER[last] if k else last, width)
         if key not in self.blocks:
-            runs = [self._run(k, y) for y in _ALLOWED[last]]
-            columns, shift = runs[0].columns, 0
-            for below, run in zip(runs, runs[1:]):
-                shift += 64 * below.count
-                columns = tuple(c + (d << shift) for c, d in zip(columns, run.columns))
-            bound = tuple(map(max, *(run.bound for run in runs)))
-            self.blocks[key] = _Block(sum(run.count for run in runs), columns, bound)
+            if k == 0:
+                v = self.v if _MAY_END[last] else (0,) * len(self.v)
+                block = _Block(int(_MAY_END[last]), v, tuple(map(abs, v)), width)
+            else:
+                runs = [self._run(k, y, width) for y in _ALLOWED[last]]
+                columns, shift = runs[0].columns, 0
+                for below, run in zip(runs, runs[1:]):
+                    shift += width * below.count
+                    columns = tuple(c + (d << shift) for c, d in zip(columns, run.columns))
+                bound = tuple(map(max, *(run.bound for run in runs)))
+                block = _Block(sum(run.count for run in runs), columns, bound, width)
+            self.blocks[key] = block
         return self.blocks[key]
+
+    def fitting(self, k: int, last: int, row) -> Optional[_Block]:
+        """Block (k, last) at the narrowest width whose packed test is exact
+        for row, or None if the row's load reaches 2^63."""
+        load = self.block(k, last).load(row)
+        for width in _WIDTHS:
+            if load < 1 << (width - 1):
+                return self.block(k, last, width)
+        return None
 
     def _confirm(self, word: tuple[int, ...], hits: list[tuple[int, ...]]) -> None:
         if linearly_independent((self.v, *word_images(self.mats, self.v, word))):
@@ -300,27 +357,33 @@ class _Engine:
 
     def scan(self, row, last: int, remaining: int, path: list[int],
              hits: list[tuple[int, ...]], collect_all: bool) -> None:
-        """Test every extension of `path` (whose last row is `row`) by exactly
-        `remaining` letters that does not end in B; append passing words to
-        hits.  A row too large for its block's packed test steps one more
-        letter and tests the shorter blocks; at length 0 it is tested alone."""
+        """Test every extension of `path` (whose last row is `row` and whose
+        state is `last`) by exactly `remaining` letters that ends in neither
+        B nor B^-1 A; append passing words to hits.  A row too large for its
+        block's packed test steps one more letter and tests the shorter
+        blocks; at length 0 it is tested alone.  Where the scan steps a
+        first A^-1 from the root it skips the B after it."""
         if hits and not collect_all:
             return
         if remaining == 0:
-            if last != B and sum(map(operator.mul, row, self.v)) in _GOOD_LAST:
+            if _MAY_END[last] and sum(map(operator.mul, row, self.v)) in _GOOD_LAST:
                 self._confirm(tuple(path), hits)
             return
         if remaining <= _BLOCK_DEPTH:
-            block = self.block(remaining, last)
-            if block.fits(row):
+            block = self.fitting(remaining, last, row)
+            if block is not None:
                 for j in block.candidates(row):
                     self._confirm(tuple(path) + _suffix(remaining, last, j), hits)
                     if hits and not collect_all:
                         break
                 return
-        for y in _ALLOWED[last]:
-            path.append(y)
-            self.scan(self._step(row, y), y, remaining - 1, path, hits, collect_all)
+        children = _ALLOWED[last]
+        if last == A_INV and len(path) == 1:
+            children = children[1:]  # the first child, B, would start the word with A^-1 B
+        for y in children:
+            letter = _LETTER[y]
+            path.append(letter)
+            self.scan(self._step(row, letter), y, remaining - 1, path, hits, collect_all)
             path.pop()
 
 
@@ -338,7 +401,8 @@ def _worker_scan(args):
     engine = _WORKER_ENGINE
     hits: list[tuple[int, ...]] = []
     row = reduce(engine._step, letters, engine.root)
-    engine.scan(row, letters[-1], depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
+    last = _A_AFTER_B_INV if letters[-2:] == (B_INV, A) else letters[-1]
+    engine.scan(row, last, depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
     return hits
 
 

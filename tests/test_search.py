@@ -27,6 +27,7 @@ from hgsp.search import (
     NOT_FOUND,
     OBSTRUCTED,
     SearchConfig,
+    _MAY_END,
     _Block,
     _Engine,
     _size,
@@ -330,9 +331,10 @@ def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
 
 def _block_engines():
     """Engines for rows 22 and 2, a degree-8 class and 1^12|2^12.  The
-    entries of 1^12|2^12 stay below 2^35 to length 6; with v scaled by 2^40
-    they pass 2^63 from length 4 on, so its blocks cannot be unpacked and
-    most rows do not fit them."""
+    entries of 1^12|2^12 stay below 2^35 to length 6, and pass 2^31 at
+    length 6; with v scaled by 2^40 they pass 2^31 from length 1 on and
+    2^63 from length 4 on, so its blocks cannot be unpacked and most rows
+    do not fit them."""
     degree8 = next(p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3)
     degree12 = make_pair(CycloFactorization.parse("1^12"), CycloFactorization.parse("2^12"))
     engines = []
@@ -345,17 +347,28 @@ def _block_engines():
 
 
 BLOCK_ENGINES = _block_engines()
-# the root scans the blocks that follow B: neither is followed by B^-1
-BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in range(4)]
+# the scan states: a last letter, or an A after B^-1 (state 4); the root
+# scans the blocks that follow B: neither is followed by B^-1
+STATES = range(5)
+BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in STATES]
+WIDTHS = (32, 64)
+
+
+def _pruned_end(word):
+    """Whether a tested word may not end here: in B or in B^-1 A."""
+    return word[-1] == B or word[-2:] == (B_INV, A)
 
 
 @lru_cache(maxsize=None)
 def _suffixes(k, last):
-    """The reduced suffixes of length k that may follow last and do not end
-    in B (the empty suffix does not follow B), in lexicographic order."""
+    """The reduced suffixes of length k that may follow the state last (the
+    letters B^-1 A for state 4) and do not give a word ending in B or in
+    B^-1 A (so the empty suffix follows neither B nor state 4), in
+    lexicographic order."""
+    before = (B_INV, A) if last == 4 else (last,)
     return tuple(
         s for s in product(range(4), repeat=k)
-        if _reduced((last,) + s) and ((last,) + s)[-1] != B
+        if _reduced(before + s) and not _pruned_end(before + s)
     )
 
 
@@ -372,50 +385,88 @@ def _plain_vectors(index, k, last):
 
 
 def _unpack(block):
-    """w_s for each suffix of a block whose entries are below 2^63, read
-    from the 64-bit fields of its columns."""
-    size = 8 * block.count
-    coords = [array("Q", (c + block.bias).to_bytes(size, sys.byteorder)) for c in block.columns]
-    return [tuple(x - 2 ** 63 for x in w) for w in zip(*coords)]
+    """w_s for each suffix of a block whose entries are below 2^(width-1),
+    read from the fields of its columns."""
+    size = block.width // 8 * block.count
+    typecode = {32: "I", 64: "Q"}[block.width]
+    coords = [array(typecode, (c + block.bias).to_bytes(size, sys.byteorder))
+              for c in block.columns]
+    return [tuple(x - 2 ** (block.width - 1) for x in w) for w in zip(*coords)]
 
 
 def test_suffix_positions_list_the_reduced_suffixes_in_order():
     for k in range(_BLOCK_DEPTH + 1):
-        for last in range(4):
+        for last in STATES:
             suffixes = _suffixes(k, last)
             assert _size(k, last) == len(suffixes), (k, last)
             assert tuple(_suffix(k, last, j) for j in range(len(suffixes))) == suffixes
-    assert max(_size(_BLOCK_DEPTH, last) for last in range(4)) == 547
+    # after the first letter, state 4 lists the suffixes that state A lists
+    assert all(_suffixes(k, 4) == _suffixes(k, A) for k in range(1, _BLOCK_DEPTH + 1))
+    assert _suffixes(0, 4) == () and _suffixes(0, A) == ((),)
+    assert {_size(_BLOCK_DEPTH, last) for last in STATES} == {486}
 
 
 def test_blocks_hold_the_reduced_suffixes_in_order():
     for index, (_, engine) in enumerate(BLOCK_ENGINES):
-        for k, last in BLOCK_KEYS:
-            block = engine.block(k, last)
-            vectors = _plain_vectors(index, k, last)
-            assert block.count == _size(k, last) == len(vectors), (k, last)
-            # the signed packing of the vectors, whatever their size
-            assert list(block.columns) == [
-                sum(w[i] << 64 * j for j, w in enumerate(vectors)) for i in range(len(engine.v))
-            ], (k, last)
-            assert all(
-                abs(w[i]) <= block.bound[i] for w in vectors for i in range(len(w))
-            ), (k, last)
-            if max(block.bound) < 2 ** 63:
-                assert _unpack(block) == vectors, (k, last)
-    # only the scaled 1^12|2^12 engine has entries of 2^63 or more, from length 4 on
+        for width in WIDTHS:
+            for k, last in [(0, last) for last in STATES] + BLOCK_KEYS:
+                block = engine.block(k, last, width)
+                vectors = _plain_vectors(index, k, last)
+                assert block.width == width
+                assert block.count == _size(k, last) == len(vectors), (k, last)
+                # the signed packing of the vectors, whatever their size
+                assert list(block.columns) == [
+                    sum(w[i] << width * j for j, w in enumerate(vectors))
+                    for i in range(len(engine.v))
+                ], (k, last, width)
+                # one bound, the same at both widths
+                assert block.bound == engine.block(k, last).bound
+                assert all(
+                    abs(w[i]) <= block.bound[i] for w in vectors for i in range(len(w))
+                ), (k, last)
+                if max(block.bound) < 2 ** (width - 1):
+                    assert _unpack(block) == vectors, (k, last, width)
+    # the first length whose entries reach 2^31 and 2^63: only 1^12|2^12 passes
+    # 2^31, at length 6, and only its scaled engine passes 2^63
     assert [
-        min((k for k, last in BLOCK_KEYS if max(engine.block(k, last).bound) >= 2 ** 63),
-            default=None)
+        [min((k for k, last in BLOCK_KEYS if max(engine.block(k, last).bound) >= 2 ** e),
+             default=None) for e in (31, 63)]
         for _, engine in BLOCK_ENGINES
-    ] == [None, None, None, None, 4]
+    ] == [[None, None], [None, None], [None, None], [6, None], [1, 4]]
 
 
 def test_worker_prefixes_skip_a_first_b_inverse():
+    # and a first A^-1 B: such words pass only when a word two letters
+    # shorter does
     assert list(_PREFIXES) == [
-        s for s in product(range(4), repeat=4) if _reduced(s) and s[0] != B_INV
+        s for s in product(range(4), repeat=4)
+        if _reduced(s) and s[0] != B_INV and s[:2] != (A_INV, B)
     ]
-    assert len(_PREFIXES) == 108 - 27
+    assert len(_PREFIXES) == 108 - 27 - 9
+
+
+def test_scan_tests_exactly_the_words_not_pruned(monkeypatch):
+    # with every block refused, each word reaches length 0 alone; the words
+    # tested there are the reduced words that start with neither B^-1 nor
+    # A^-1 B and end in neither B nor B^-1 A
+    scan, tested = _Engine.scan, []
+
+    def recording(engine, row, last, remaining, path, hits, collect_all):
+        if remaining == 0 and _MAY_END[last]:
+            tested.append(tuple(path))
+        scan(engine, row, last, remaining, path, hits, collect_all)
+
+    monkeypatch.setattr(_Block, "load", lambda block, row: 2 ** 63)
+    monkeypatch.setattr(_Engine, "scan", recording)
+    _, engine = BLOCK_ENGINES[1]
+    for depth in range(1, 8):
+        tested.clear()
+        engine.scan(engine.root, search._ROOT_LAST, depth, [], [], True)
+        assert tested == [
+            s for s in product(range(4), repeat=depth)
+            if _reduced(s) and s[0] != B_INV and s[:2] != (A_INV, B) and not _pruned_end(s)
+        ], depth
+    assert len(tested) == 1296  # 44% of the 2916 reduced words of length 7
 
 
 @st.composite
@@ -450,6 +501,21 @@ def test_swapping_into_b_keeps_the_candidate_check(pair, word):
             assert check(with_a) == check(with_b), (with_a, with_b)
 
 
+@given(pair=st.sampled_from(SWAP_PAIRS), word=reduced_words(8))
+@example(pair=SWAP_PAIRS[1], word=Word.parse("B^3AB^3A").letters)  # witnesses
+@example(pair=SWAP_PAIRS[2], word=Word.parse("A^-1B^-4A^-1").letters)
+def test_t_inverse_ends_keep_the_candidate_check(pair, word):
+    # the second pruning rule rests on this: with T = A^-1 B, u T^-1 = u B^-1 A
+    # and T u = A^-1 B u have the last entry c and the span of u itself
+    def check(letters):
+        report = verify_witness(pair, Word(letters))
+        return report.c, report.last_entry_ok, report.independence_ok
+
+    for longer in (word + (B_INV, A), (A_INV, B) + word):
+        if _reduced(longer):
+            assert check(longer) == check(word), (word, longer)
+
+
 def _bezout(w):
     """(g, c) with c . w = g = gcd of the entries of w."""
     g, coeffs = 0, [0] * len(w)
@@ -469,23 +535,26 @@ def _bezout(w):
 
 @st.composite
 def block_rows(draw, kind):
-    """A block, its plain vectors and a row.  "hit": small entries moved so
-    r . w_j = t for a drawn suffix j and target t; "wide": entries of up to
-    80 bits, so most rows do not fit, moved the same way half the time;
-    "edge": one entry set so that sum_i |r_i| bound[i] is just under, at or
-    just over 2^63."""
+    """An engine, a block key, the block at a drawn width, its plain vectors
+    and a row.  "hit": small entries moved so r . w_j = t for a drawn suffix
+    j and target t; "wide": entries of up to 80 bits, so most rows do not
+    fit, moved the same way half the time; "edge": one entry set so that
+    the load sum_i |r_i| bound[i] is just under, at or just over 2^31 or
+    2^63."""
     index = draw(st.integers(0, len(BLOCK_ENGINES) - 1))
     _, engine = BLOCK_ENGINES[index]
     k, last = draw(st.sampled_from(BLOCK_KEYS))
-    block, vectors = engine.block(k, last), _plain_vectors(index, k, last)
+    width = draw(st.sampled_from(WIDTHS))
+    block, vectors = engine.block(k, last, width), _plain_vectors(index, k, last)
     scale = 1 << draw(st.sampled_from((12, 24, 40, 52, 60, 64, 72))) if kind == "wide" else 1
     row = [scale * x for x in draw(st.lists(
         st.integers(-255, 255), min_size=len(engine.v), max_size=len(engine.v)))]
     if kind == "edge":
+        limit = draw(st.sampled_from((2 ** 31, 2 ** 63)))
         i = draw(st.sampled_from([i for i, b in enumerate(block.bound) if b]))
         rest = sum(abs(r) * b for j, (r, b) in enumerate(zip(row, block.bound)) if j != i)
         row[i] = draw(st.sampled_from((1, -1))) * max(
-            0, (2 ** 63 - rest) // block.bound[i] + draw(st.sampled_from((-1, 0, 1))))
+            0, (limit - rest) // block.bound[i] + draw(st.sampled_from((-1, 0, 1))))
     elif kind == "hit" or draw(st.booleans()):
         w = vectors[draw(st.integers(0, len(vectors) - 1))]
         target = draw(st.sampled_from((1, -1, 2, -2)))
@@ -493,55 +562,75 @@ def block_rows(draw, kind):
         if target % g == 0:
             shift = (target - sum(a * b for a, b in zip(row, w))) // g
             row = [r + shift * c for r, c in zip(row, coeffs)]
-    return block, vectors, tuple(row)
+    return engine, (k, last), block, vectors, tuple(row)
 
 
 @pytest.mark.parametrize("kind", ["hit", "wide", "edge"])
 @given(data=st.data())
 def test_packed_block_test_matches_plain_dot_products(kind, data):
-    block, vectors, row = data.draw(block_rows(kind))
+    engine, key, block, vectors, row = data.draw(block_rows(kind))
     dots = [sum(a * b for a, b in zip(row, w)) for w in vectors]
-    if block.fits(row):
-        # the bound leaves every field room: no dot product reaches 2^63
-        assert all(abs(d) < 2 ** 63 for d in dots)
-        assert block.candidates(row) == [j for j, d in enumerate(dots) if d in (1, -1, 2, -2)]
+    hits = [j for j, d in enumerate(dots) if d in (1, -1, 2, -2)]
+    load = block.load(row)
+    if load < 2 ** (block.width - 1):
+        # the bound leaves every field room: no dot product reaches 2^(width-1)
+        assert all(abs(d) < 2 ** (block.width - 1) for d in dots)
+        assert block.candidates(row) == hits
+    # the scan takes the narrowest width whose packed test is exact, if any
+    fitting = engine.fitting(*key, row)
+    assert (fitting and fitting.width) == (32 if load < 2 ** 31 else 64 if load < 2 ** 63 else None)
+    if fitting is not None:
+        assert fitting is engine.block(*key, fitting.width)
+        assert fitting.candidates(row) == hits
 
 
 def test_packed_block_test_finds_a_witness_under_the_bound():
     # row 22's witness AB^4A: the prefix AB leaves the suffix B^3A, the
     # prefix A the suffix B^4A, and the root (as the depth-6 scan takes it)
-    # the whole word; every prefix row fits its block
+    # the whole word; every prefix row fits its block at 32 bits
     _, engine = BLOCK_ENGINES[0]
     word = (A, B, B, B, B, A)
     for cut in (2, 1, 0):
         row = reduce(engine._step, word[:cut], engine.root)
         last, k = (word[cut - 1] if cut else B), len(word) - cut
-        block = engine.block(k, last)
-        assert block.fits(row)
+        block = engine.fitting(k, last, row)
+        assert block.width == 32
         assert _suffix(k, last, block.candidates(row)[0]) == word[cut:]
 
 
 def test_rows_that_do_not_fit_are_descended(monkeypatch, oracle_cases, deep_oracle_cases):
-    # the scaled 1^12|2^12 engine: most rows do not fit, down to length 0,
-    # and no last entry (a multiple of 2^40) can pass
-    fits, refused = _Block.fits, []
+    # the scaled 1^12|2^12 engine: most rows fit neither width, down to
+    # length 0, and no last entry (a multiple of 2^40) can pass
+    fitting, refused = _Engine.fitting, []
 
-    def counting(block, row):
-        if not fits(block, row):
-            refused.append(block.count)
-            return False
-        return True
+    def counting(engine, k, last, row):
+        block = fitting(engine, k, last, row)
+        if block is None:
+            refused.append(k)
+        return block
 
-    monkeypatch.setattr(_Block, "fits", counting)
+    monkeypatch.setattr(_Engine, "fitting", counting)
     _, engine = BLOCK_ENGINES[-1]
     hits = []
     engine.scan(engine.root, B, 8, [], hits, True)
     assert hits == [] and len(refused) > 1000
-    assert min(refused) <= 3  # a length-1 block: its rows went on to length 0
-    # real rows, every one refused (each word is tested alone at length 0)
-    # or refused on a fixed pattern: the outcome equals the canonical oracle's
-    for refuse in (lambda row: True, lambda row: sum(row) % 3 == 0):
-        monkeypatch.setattr(_Block, "fits", lambda block, row: not refuse(row))
+    assert min(refused) == 1  # a length-1 block: its rows went on to length 0
+    monkeypatch.setattr(_Engine, "fitting", fitting)
+    # a load of exactly 2^31 or 2^63 is refused at that width
+    for edge, width in ((2 ** 31 - 1, 32), (2 ** 31, 64), (2 ** 63 - 1, 64), (2 ** 63, None)):
+        monkeypatch.setattr(_Block, "load", lambda block, row: edge)
+        block = engine.fitting(1, A, engine.root)
+        assert (block and block.width) == width, edge
+    # real rows with both widths refused (each word is tested alone at
+    # length 0), refused on a fixed pattern, or forced onto the 64-bit
+    # packing: the outcome equals the canonical oracle's
+    load = _Block.load
+    for forced in (
+        lambda block, row: 2 ** 63,
+        lambda block, row: 2 ** 63 if sum(row) % 3 == 0 else load(block, row),
+        lambda block, row: max(2 ** 31, load(block, row)),
+    ):
+        monkeypatch.setattr(_Block, "load", forced)
         for pair, (word, per_depth, every) in [oracle_cases[-1]] + deep_oracle_cases:
             depth = len(per_depth)
             out = search_witness(pair, SearchConfig(max_depth=depth, all_at_min_depth=True))
