@@ -63,8 +63,8 @@ def admissible_indices(degree: int) -> tuple[int, ...]:
 class CycloFactorization:
     """A multiset of cyclotomic indices, stored as sorted (index, multiplicity).
 
-    Degree, support, expansion and scalar shift are computed once per
-    instance, so callers keep no caches of their own.
+    Degree, support, expansion, its exponent gcd and scalar shift are
+    computed once per instance, so callers keep no caches of their own.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -102,6 +102,11 @@ class CycloFactorization:
         for m, k in self.factors:
             p = p * cyclotomic_poly(m) ** k
         return p
+
+    @cached_property
+    def exponent_gcd(self) -> int:
+        """gcd of the exponents of the expansion's nonzero terms."""
+        return exponent_gcd(self._expansion)
 
     def parameters(self) -> tuple[Fraction, ...]:
         """Sorted list of a/m over primitive residues a mod m, with multiplicity."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .linalg import (
     Matrix,
@@ -20,7 +21,6 @@ from .linalg import (
     companion_inverse,
     companion_matrix,
     determinant,
-    mat_mul,
     mat_vec,
     solve_scaled,
     transpose,
@@ -81,6 +81,16 @@ def transvection_vector(gen: GeneratorPair) -> Vector:
 # -- invariant form -----------------------------------------------------------
 
 
+def preserves_form(omega: Matrix, last_columns: Sequence[Vector]) -> bool:
+    """M^T omega M == omega for every companion matrix M with one of
+    last_columns, for alternating omega, in O(n^2) (the identity is stated
+    in invariant_symplectic_form)."""
+    if any(lo[1:] != hi[:-1] for hi, lo in zip(omega, omega[1:])):
+        return False
+    last = tuple(row[-1] for row in omega[:-1])
+    return all(mat_vec(omega, c)[1:] == last for c in last_columns)
+
+
 def invariant_symplectic_form(
     gen: GeneratorPair, v: Vector | None = None
 ) -> SymplecticForm:
@@ -91,14 +101,32 @@ def invariant_symplectic_form(
     When K is nonsingular (u is cyclic for A) every invariant alternating
     form is a multiple of this one, and the checks below (antisymmetry,
     invariance under A and B, nonzero determinant) show that it is one.
+
+    Invariance is checked without forming M^T Omega M; indices run from 0
+    here.  A is checked to be a companion matrix and B shares its first n-1
+    columns, so each M of A, B sends e_j to e_(j+1) for j < n-1 and e_(n-1)
+    to its last column c_M.  The (i, j) entry of M^T Omega M is then
+    Omega[i+1][j+1] for i, j < n-1 and (Omega c_M)[i+1] for i < n-1,
+    j = n-1; the rest follows by antisymmetry, with c_M^T Omega c_M = 0.
+    So for alternating Omega, M^T Omega M = Omega exactly when
+
+        Omega[i+1][j+1] = Omega[i][j]      for i, j < n-1 (shared by A, B),
+        (Omega c_M)[i+1] = Omega[i][n-1]   for i < n-1,
+
+    one matrix-vector product per generator (preserves_form).
+
     The result is divided by its content and its sign fixed so that
     Omega(v, e_n) > 0, with v defaulting to u.  Raises InvariantFormError
-    when K is singular or a check fails, DegenerateFormError when the form
-    or its pairing of v with e_n is degenerate.
+    when A is not a companion matrix, K is singular or a check fails,
+    DegenerateFormError when the form or its pairing of v with e_n is
+    degenerate.
     """
     n = gen.degree
     if any(ra[:-1] != rb[:-1] for ra, rb in zip(gen.a, gen.b)):
         raise InvariantFormError("A^-1 B does not fix e_1 .. e_(n-1)")
+    if any(row[:-1] != tuple(int(i == j + 1) for j in range(n - 1))
+           for i, row in enumerate(gen.a)):
+        raise InvariantFormError("A is not a companion matrix")
     u = transvection_vector(gen)
     krylov = [u]
     rows = [tuple(1 if i == n - 1 else 0 for i in range(n))]
@@ -116,9 +144,9 @@ def invariant_symplectic_form(
     omega = tuple(tuple(x // content for x in row) for row in zip(*cols))
     if omega != tuple(tuple(-x for x in col) for col in zip(*omega)):
         raise InvariantFormError("Krylov solution is not alternating")
-    for m in (gen.a, gen.b):
-        if mat_mul(mat_mul(transpose(m), omega), m) != omega:
-            raise InvariantFormError("Krylov solution is not invariant")
+    last_columns = [tuple(row[-1] for row in m) for m in (gen.a, gen.b)]
+    if not preserves_form(omega, last_columns):
+        raise InvariantFormError("Krylov solution is not invariant")
     if determinant(omega) == 0:
         raise DegenerateFormError()
     if v is None:

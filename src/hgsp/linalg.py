@@ -27,15 +27,6 @@ class NonUnimodularError(ValueError):
         super().__init__(f"matrix is not unimodular (determinant {determinant})")
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch in matrix-vector product")

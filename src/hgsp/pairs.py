@@ -10,9 +10,20 @@ embedded degree-6 tables are stated in.
 
 Each rule is stated once.  qualification_failures is the qualification
 rule, and make_pair, which the package builds every QualifiedPair with,
-runs it.  _orbit_minimum is the class key, used by canonical_representative
-and by enumeration.  vector_gcd is the gcd of v and gcd_obstruction the
-"gcd(v) > 2" test; the search, the pre-search buckets and the CLI use them.
+runs it.  _orbit_minimum is the class key, used by canonical_representative.
+vector_gcd is the gcd of v and gcd_obstruction the "gcd(v) > 2" test; the
+search, the pre-search buckets and the CLI use them.
+
+Enumeration walks each class once.  The factorizations are sorted by their
+encoding, and each one's encoding and shifted encoding are read once per
+call.  A class is listed as its orbit minimum, the member (f, g) whose pair
+of encodings is least.  Under shift-and-swap, (f, g) <= (g, f) means j >= i
+for the i-th and j-th factorizations, so the inner loop starts at i and only
+the two shifted members (f', g') and (g', f') are compared, as tuples of
+encodings; under shift alone j starts at 0 and (f', g') is the one rival.
+Before make_pair, a pair is skipped only for two failures that
+qualification_failures also reports: a factorization with constant term -1,
+or a common factor.  make_pair then applies the whole rule to the rest.
 """
 
 from __future__ import annotations
@@ -22,12 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclotomic import (
-    CycloFactorization,
-    admissible_indices,
-    exponent_gcd,
-    totient,
-)
+from .cyclotomic import CycloFactorization, admissible_indices, totient
 from .poly import IntPoly
 
 SHIFT = "shift"
@@ -118,7 +124,7 @@ def qualification_failures(
         reasons.append("f has constant term -1 (odd multiplicity of index 1)")
     if g_fac.multiplicity(1) % 2:
         reasons.append("g has constant term -1 (odd multiplicity of index 1)")
-    k = math.gcd(exponent_gcd(f_fac.expand()), exponent_gcd(g_fac.expand()))
+    k = math.gcd(f_fac.exponent_gcd, g_fac.exponent_gcd)
     if k >= 2:
         reasons.append(f"imprimitive pair (both polynomials in x^{k})")
     return reasons
@@ -214,17 +220,29 @@ def enumerate_qualified_pairs(
     so, and listed by the canonical representative's encoding.  In even
     degree qualification is invariant under shift and swap, so the ordered
     pairs that are their own orbit minimum and pass make_pair, walked in
-    encoding order, are the classes in order.  With mum_only, each maximally
-    unipotent class is listed once, as its mum_oriented member; the shift
-    classes (1^n, g) and (g, 1^n) share it, so shift-and-swap classes are walked.
+    encoding order, are the classes in order (the walk is in the module
+    docstring).  With mum_only, each maximally unipotent class is listed
+    once, as its mum_oriented member; the shift classes (1^n, g) and
+    (g, 1^n) share it, so shift-and-swap classes are walked.
     """
-    if mum_only and convention == SHIFT:
-        convention = SHIFT_SWAP
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    swap = mum_only or convention == SHIFT_SWAP
     facs = enumerate_factorizations(degree)
+    keys = [fac.factors for fac in facs]
+    shifted = [fac.scalar_shift().factors for fac in facs]
+    even = [fac.multiplicity(1) % 2 == 0 for fac in facs]  # constant term 1
     reps: list[QualifiedPair] = []
-    for f_fac in facs:
-        for g_fac in facs:
-            if _orbit_minimum(f_fac, g_fac, convention) != (f_fac, g_fac):
+    for i, f_fac in enumerate(facs):
+        if not even[i]:
+            continue
+        key_f, shift_f = keys[i], shifted[i]
+        for j in range(i if swap else 0, len(facs)):
+            g_fac = facs[j]
+            if not even[j] or not f_fac.support.isdisjoint(g_fac.support):
+                continue
+            key = (key_f, keys[j])
+            if key > (shift_f, shifted[j]) or (swap and key > (shifted[j], shift_f)):
                 continue
             try:
                 reps.append(make_pair(f_fac, g_fac))

@@ -25,8 +25,13 @@ gamma^-1 from ``evaluate_word``, the conjugates C1, C2, C3 as matrices, and
 ``is_transvection`` from a rank and a square.  The library writes the
 conjugates in rank-one form instead; both must give the same report.
 
-``word_inverse`` and ``coefficient`` are small helpers that only the tests
-need.
+``all_ordered_pairs_census`` is the class enumeration
+(``hgsp.pairs.enumerate_qualified_pairs``) done the plain way: every ordered
+pair of factorizations, kept when it is its own orbit minimum and passes
+``make_pair``.  The library walks each class once instead.
+
+``mat_mul``, ``word_inverse`` and ``coefficient`` are small helpers that
+only the tests need.
 """
 
 from __future__ import annotations
@@ -50,17 +55,34 @@ from hgsp.linalg import (
     Vector,
     _bareiss_echelon,
     linearly_independent,
-    mat_mul,
     mat_vec,
     rank,
     solve_scaled,
 )
-from hgsp.pairs import QualifiedPair
+from hgsp.pairs import (
+    SHIFT,
+    SHIFT_SWAP,
+    NotQualifiedError,
+    QualifiedPair,
+    _orbit_minimum,
+    enumerate_factorizations,
+    make_pair,
+    mum_oriented,
+)
 from hgsp.poly import IntPoly
 from hgsp.words import Word, inverse_letter
 
 
 # -- matrix products -----------------------------------------------------------
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -101,6 +123,31 @@ def is_transvection(c: Matrix) -> bool:
         return False
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     return mat_mul(d, d) == zero
+
+
+# -- census --------------------------------------------------------------------
+
+
+def all_ordered_pairs_census(
+    degree: int, convention: str, mum_only: bool = False
+) -> list[QualifiedPair]:
+    """One qualified pair per class, from every ordered pair of factorizations."""
+    if mum_only and convention == SHIFT:
+        convention = SHIFT_SWAP
+    facs = enumerate_factorizations(degree)
+    reps = []
+    for f_fac in facs:
+        for g_fac in facs:
+            if _orbit_minimum(f_fac, g_fac, convention) != (f_fac, g_fac):
+                continue
+            try:
+                reps.append(make_pair(f_fac, g_fac))
+            except NotQualifiedError:
+                continue
+    if mum_only:
+        reps = [mum_oriented(p) for p in reps if p.is_mum()]
+        reps.sort(key=lambda p: (p.f_fac.factors, p.g_fac.factors))
+    return reps
 
 
 # -- unimodular solves --------------------------------------------------------

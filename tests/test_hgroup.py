@@ -1,18 +1,31 @@
 """Generators, transvection vector, and the invariant symplectic form."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgsp.cyclotomic import CycloFactorization
 from hgsp.hgroup import (
     DegenerateFormError,
+    GeneratorPair,
     InvariantFormError,
     build_generators,
     invariant_symplectic_form,
+    preserves_form,
     transvection_vector,
 )
-from hgsp.linalg import determinant, mat_mul, mat_vec, rank, transpose
+from hgsp.linalg import (
+    companion_inverse,
+    companion_matrix,
+    determinant,
+    mat_vec,
+    rank,
+    transpose,
+)
+from hgsp.poly import IntPoly
 from hgsp.pairs import enumerate_qualified_pairs, make_pair
 from oracles import (
     coefficient,
@@ -21,6 +34,7 @@ from oracles import (
     is_transvection,
     kernel_symplectic_form,
     letter_matrix,
+    mat_mul,
     mat_sub,
     symmetric_invariant_dimension,
 )
@@ -174,11 +188,10 @@ def test_sign_normalization_consistent():
 def test_dimension_error_when_space_too_big():
     """Identity generators leave every alternating form invariant.
 
-    In degree 4 that space has dimension 6, so the uniqueness guard must
-    trip rather than silently picking one form out of many.
+    In degree 4 that space has dimension 6, so a guard must trip rather than
+    silently picking one form out of many; here it is the companion-shape
+    guard, as the identity is not a companion matrix.
     """
-    from hgsp.hgroup import GeneratorPair
-
     eye = identity_matrix(4)
     gen = GeneratorPair(a=eye, b=eye, a_inv=eye, b_inv=eye, degree=4)
     with pytest.raises(InvariantFormError):
@@ -216,8 +229,6 @@ def test_krylov_form_matches_kernel_oracle_degree_8_sample():
 def test_form_rejects_generators_without_transvection_shape():
     """When A^-1 B moves some e_j with j < n the uniqueness argument does not
     apply, and the guard trips before any solve."""
-    from hgsp.hgroup import GeneratorPair
-
     gen = build_generators(pair_by_id("1^6|3^2,6"))
     twisted = GeneratorPair(a=gen.a, b=transpose(gen.b), a_inv=gen.a_inv,
                             b_inv=transpose(gen.b_inv), degree=6)
@@ -228,10 +239,6 @@ def test_form_rejects_generators_without_transvection_shape():
 def test_form_requires_cyclic_transvection_vector():
     """f and g sharing the factor (x - 1)^2 leave v non-cyclic for A, so
     the Krylov matrix is singular."""
-    from hgsp.hgroup import GeneratorPair
-    from hgsp.linalg import companion_inverse, companion_matrix
-    from hgsp.poly import IntPoly
-
     f = IntPoly((1, 0, -2, 0, 1))  # (x - 1)^2 (x + 1)^2
     g = IntPoly((1, -2, 2, -2, 1))  # (x - 1)^2 (x^2 + 1)
     gen = GeneratorPair(a=companion_matrix(f), b=companion_matrix(g),
@@ -240,3 +247,92 @@ def test_form_requires_cyclic_transvection_vector():
     assert transvection_vector(gen) == (2, -4, 2, 0)
     with pytest.raises(InvariantFormError, match="not cyclic"):
         invariant_symplectic_form(gen)
+
+
+@lru_cache(maxsize=None)
+def _degree_four_forms():
+    """(kernel-oracle form, coefficients of f or g) for every degree-4 class."""
+    cases = []
+    for pair in enumerate_qualified_pairs(4):
+        omega = kernel_symplectic_form(build_generators(pair))
+        cases += [(omega, pair.f.coeffs), (omega, pair.g.coeffs)]
+    return cases
+
+
+def _alternating(n, upper):
+    """The alternating n x n matrix with the given entries above the diagonal."""
+    entries = iter(upper)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = next(entries)
+            rows[j][i] = -rows[i][j]
+    return tuple(map(tuple, rows))
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def forms_and_polynomials(draw):
+    """(alternating Omega, coefficients of a monic p).
+
+    A census form with the polynomial of its A or B, perturbed at one entry
+    or not, gives both answers; a Toeplitz Omega satisfies the shift
+    condition whatever p is, and a random Omega usually fails it.
+    """
+    source = draw(st.sampled_from(("census", "toeplitz", "random")))
+    if source == "census":
+        omega, coeffs = draw(st.sampled_from(_degree_four_forms()))
+        i, j = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)))
+        delta = draw(st.sampled_from((0, 1, -1)))
+        rows = [list(row) for row in omega]
+        rows[i][j] += delta
+        rows[j][i] -= delta
+        return tuple(map(tuple, rows)), coeffs
+    n = draw(st.sampled_from((2, 4, 6)))
+    coeffs = tuple(draw(st.lists(small, min_size=n, max_size=n))) + (1,)
+    if source == "toeplitz":
+        t = draw(st.lists(small, min_size=n, max_size=n))
+        upper = [t[j - i] for i in range(n) for j in range(i + 1, n)]
+    else:
+        upper = draw(st.lists(small, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return _alternating(n, upper), coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_and_polynomials())
+# the last-column condition holds and the shift condition fails (p = x^4)
+@example((_alternating(4, (1, 0, 0, 0, 0, 0)), (0, 0, 0, 0, 1)))
+# the shift condition holds (n = 2) and the last-column condition fails (p = x^2)
+@example((_alternating(2, (1,)), (0, 0, 1)))
+def test_preserves_form_agrees_with_the_dense_product(case):
+    omega, coeffs = case
+    m = companion_matrix(IntPoly(coeffs))
+    dense = mat_mul(mat_mul(transpose(m), omega), m) == omega
+    assert preserves_form(omega, [tuple(row[-1] for row in m)]) == dense
+
+
+def test_form_rejects_generators_that_are_not_companion_matrices():
+    """Conjugating by P = I + E_12 keeps the shape of A^-1 B (the last row
+    of P^-1 is e_n^T), keeps u cyclic and keeps an invariant form,
+    P^-T Omega P^-1; but A is no longer a companion matrix, so the O(n^2)
+    invariance identity does not apply and the form is refused."""
+    gen = build_generators(pair_by_id("1^6|3^2,6"))
+    p = tuple(tuple(int(i == j) + int((i, j) == (0, 1)) for j in range(6)) for i in range(6))
+    p_inv = tuple(tuple(int(i == j) - int((i, j) == (0, 1)) for j in range(6)) for i in range(6))
+
+    def conj(m):
+        return mat_mul(mat_mul(p, m), p_inv)
+
+    twisted = GeneratorPair(a=conj(gen.a), b=conj(gen.b), a_inv=conj(gen.a_inv),
+                            b_inv=conj(gen.b_inv), degree=6)
+    assert all(ra[:-1] == rb[:-1] for ra, rb in zip(twisted.a, twisted.b))
+    u = transvection_vector(twisted)
+    krylov = [u]
+    for _ in range(5):
+        krylov.append(mat_vec(twisted.a, krylov[-1]))
+    assert rank(krylov, 6) == 6
+    assert len(invariant_alternating_space(twisted)) == 1
+    with pytest.raises(InvariantFormError, match="not a companion matrix"):
+        invariant_symplectic_form(twisted)

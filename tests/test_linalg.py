@@ -18,7 +18,6 @@ from hgsp.linalg import (
     companion_matrix,
     determinant,
     linearly_independent,
-    mat_mul,
     mat_vec,
     rank,
     transpose,
@@ -27,6 +26,7 @@ from hgsp.poly import IntPoly
 from oracles import (
     identity_matrix,
     kernel_basis,
+    mat_mul,
     mat_sub,
     nullspace,
     solve_unimodular,

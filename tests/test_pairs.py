@@ -20,6 +20,7 @@ from hgsp.pairs import (
     mum_oriented,
     qualification_failures,
 )
+from oracles import all_ordered_pairs_census
 
 PHI1_6 = CycloFactorization(((1, 6),))
 ROW17_G = CycloFactorization(((3, 2), (6, 1)))
@@ -160,6 +161,41 @@ def test_census_qualifies_each_class_once(monkeypatch):
         reps = enumerate_qualified_pairs(6, convention)
         assert len(set(calls)) == len(calls)
         assert [fg for fg in calls if not real(*fg)] == [(p.f_fac, p.g_fac) for p in reps]
+
+
+def _pair_data(pairs):
+    return [(p.pair_id, p.lc, p.f, p.g) for p in pairs]
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+@pytest.mark.parametrize("convention", [SHIFT, SHIFT_SWAP])
+@pytest.mark.parametrize("mum_only", [False, True])
+def test_census_matches_the_all_ordered_pairs_oracle(degree, convention, mum_only):
+    assert _pair_data(enumerate_qualified_pairs(degree, convention, mum_only)) == _pair_data(
+        all_ordered_pairs_census(degree, convention, mum_only)
+    )
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+@pytest.mark.parametrize("convention", [SHIFT, SHIFT_SWAP])
+def test_census_skips_only_unqualified_or_non_minimal_pairs(monkeypatch, degree, convention):
+    built = set()
+    real = make_pair
+
+    def recording(f_fac, g_fac):
+        built.add((f_fac, g_fac))
+        return real(f_fac, g_fac)
+
+    monkeypatch.setattr(pairs_module, "make_pair", recording)
+    enumerate_qualified_pairs(degree, convention)
+    facs = enumerate_factorizations(degree)
+    skipped = [(f, g) for f in facs for g in facs if (f, g) not in built]
+    assert len(skipped) > len(facs) ** 2 // 2
+    for f, g in skipped:
+        assert (
+            pairs_module._orbit_minimum(f, g, convention) != (f, g)
+            or qualification_failures(f, g)
+        ), (f.text, g.text)
 
 
 def test_canonical_representative_orbit_invariance():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hgsp.linalg import mat_mul, mat_vec
+from hgsp.linalg import mat_vec
 from hgsp.pairs import enumerate_qualified_pairs
 from hgsp.hgroup import build_generators
 from hgsp.words import (
@@ -20,7 +20,7 @@ from hgsp.words import (
     inverse_letter,
     word_images,
 )
-from oracles import evaluate_word, identity_matrix, word_inverse
+from oracles import evaluate_word, identity_matrix, mat_mul, word_inverse
 
 
 def test_letter_codes_and_inverses():
