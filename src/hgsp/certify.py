@@ -41,6 +41,15 @@ G01 != 0, and e is fixed by every Ci exactly when r . e = 0 for all three
 G01 times the restrictions; the only rational division is by G01, in the
 reported matrix entries.  The report carries one flag per check plus the
 computed objects, and the verdict is their conjunction.
+
+The form enters through the row v^T Omega, computed once.  Its entries are
+Omega(v, e_j), so it gives omega_v_en and the prefix-zero check directly,
+and since Omega is alternating, Omega(x, v) = -(v^T Omega) . x gives
+Omega(w3, v) (the word relation, and G02) and G01 = Omega(w2, v) with one
+dot product each.  G12 = Omega(w3, w2) stays a pairing: invariance turns
+it into Omega(gamma^2 v, v) = -(v^T Omega) . gamma^2 v only when w2 and w3
+are the word's true images of v, which the certificate does not assume of
+the vectors it reads.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hgroup import build_generators, invariant_symplectic_form, transvection_vector
-from .linalg import Matrix, Vector, linearly_independent, transpose
+from .linalg import Matrix, Vector, linearly_independent, mat_vec, transpose
 from .pairs import QualifiedPair
 from .words import Word, word_images
 
@@ -159,12 +168,12 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
     checks["last_entry"] = c in (1, -1, 2, -2)
     checks["independence"] = linearly_independent((w1, w2, w3))
 
-    omega_v_en = form.pairing(v, unit(n - 1))
-    checks["omega_v_prefix_zero"] = all(
-        form.pairing(v, unit(j)) == 0 for j in range(n - 1)
-    )
+    v_omega = mat_vec(transpose(form.omega), v)  # the row v^T Omega
+    omega_v_en = v_omega[n - 1]
+    omega_w3_v = -_dot(v_omega, w3)
+    checks["omega_v_prefix_zero"] = not any(v_omega[:-1])
     checks["omega_v_last_nonzero"] = omega_v_en != 0
-    checks["omega_word_relation"] = form.pairing(w3, v) == -c * omega_v_en
+    checks["omega_word_relation"] = omega_w3_v == -c * omega_v_en
 
     conjugates = ((v, unit(n - 1)), (w2, r2), (w3, r3))  # C1, C2, C3
     for name, (u, r) in zip(("c1", "c2", "c3"), conjugates):
@@ -176,13 +185,9 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
     l1: Optional[Fraction] = None
 
     if checks["independence"]:
-        gram = [
-            tuple(form.pairing(wj, wi) for wj in (w1, w2, w3))
-            for wi in (w1, w2, w3)
-        ]
-        # An alternating 3x3 Gram matrix has rank 0 or 2; when it is nonzero
-        # its radical is spanned by (G12, -G02, G01).
-        coeffs = (gram[1][2], -gram[0][2], gram[0][1])
+        # G_ij = Omega(w_j, w_i).  An alternating 3x3 Gram matrix has rank 0
+        # or 2; when it is nonzero its radical is spanned by (G12, -G02, G01).
+        coeffs = (form.pairing(w3, w2), -omega_w3_v, -_dot(v_omega, w2))
         radical_dim = 1 if any(coeffs) else 3
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:

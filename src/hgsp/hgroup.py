@@ -4,9 +4,20 @@ The group is generated by the companion matrices A of f and B of g.  The
 element A^-1 B is a transvection; its direction vector v = (A^-1 B - I) e_n
 has i-th entry equal to the coefficient of x^i in f - g.  The full group
 preserves a unique (up to scale) nondegenerate alternating bilinear form,
-recovered here from one Krylov solve: since A^-1 B - I = v e_n^T, every
-invariant alternating form Omega has (A^k v)^T Omega = mu e_n^T A^-k, so
-K^T Omega = mu R with K = [v, Av, ..., A^(n-1) v].
+recovered here from one column of one Krylov solve.
+
+Since A^-1 B - I = v e_n^T, every invariant alternating form Omega has
+v^T Omega = mu e_n^T with mu = Omega(v, e_n), hence
+(A^k v)^T Omega = mu e_n^T A^-k and K^T Omega = mu R, with
+K = [v, Av, ..., A^(n-1) v] and R the rows e_n^T A^-k.  When K is
+nonsingular, every such form is a multiple of (K^T)^-1 R.  A sends e_j to
+e_(j+1) for j < n, so A^T Omega A = Omega gives
+Omega[i+1][j+1] = Omega[i][j]: Omega is Toeplitz, Omega[i][j] = t_(j-i),
+and alternation makes t_(-k) = -t_k.  Its first column (-t_0, ..., -t_(n-1))
+fixes all of it, so one right-hand side, R e_1, is solved instead of n.
+Both Krylov sequences step in O(n): A x by the companion shape, and
+r^T A^-1 by the inverse's ones above the diagonal (linalg.companion_step,
+linalg.inverse_row_step).
 """
 
 from __future__ import annotations
@@ -20,10 +31,12 @@ from .linalg import (
     Vector,
     companion_inverse,
     companion_matrix,
+    companion_step,
     determinant,
+    inverse_row_step,
     mat_vec,
+    shift_rows,
     solve_scaled,
-    transpose,
 )
 from .pairs import QualifiedPair
 
@@ -96,11 +109,10 @@ def invariant_symplectic_form(
 ) -> SymplecticForm:
     """The invariant alternating form, made unique by normalization.
 
-    With u the transvection vector of gen, solve K^T Omega = R for
-    K = [u, Au, ..., A^(n-1) u] and R the rows e_n^T A^-k, k = 0 .. n-1.
-    When K is nonsingular (u is cyclic for A) every invariant alternating
-    form is a multiple of this one, and the checks below (antisymmetry,
-    invariance under A and B, nonzero determinant) show that it is one.
+    With u the transvection vector of gen, solve K^T y = det(K) R e_1 (K, R
+    and the Toeplitz argument are in the module docstring) and take
+    Omega[i][j] = t_(j-i) with t_k = -y_k / gcd(y) and t_(-k) = -t_k.
+    Alternation then needs only y_0 = 0.
 
     Invariance is checked without forming M^T Omega M; indices run from 0
     here.  A is checked to be a companion matrix and B shares its first n-1
@@ -124,27 +136,31 @@ def invariant_symplectic_form(
     n = gen.degree
     if any(ra[:-1] != rb[:-1] for ra, rb in zip(gen.a, gen.b)):
         raise InvariantFormError("A^-1 B does not fix e_1 .. e_(n-1)")
-    if any(row[:-1] != tuple(int(i == j + 1) for j in range(n - 1))
-           for i, row in enumerate(gen.a)):
+    if any(row[:-1] != shift for row, shift in zip(gen.a, shift_rows(n))):
         raise InvariantFormError("A is not a companion matrix")
+    last_columns = [tuple(row[-1] for row in m) for m in (gen.a, gen.b)]
+    first = tuple(row[0] for row in gen.a_inv)
     u = transvection_vector(gen)
     krylov = [u]
-    rows = [tuple(1 if i == n - 1 else 0 for i in range(n))]
-    a_inv_t = transpose(gen.a_inv)
+    row = (0,) * (n - 1) + (1,)
+    rhs = [(row[0],)]
     for _ in range(n - 1):
-        krylov.append(mat_vec(gen.a, krylov[-1]))
-        rows.append(mat_vec(a_inv_t, rows[-1]))
-    det, cols = solve_scaled(krylov, rows)
+        krylov.append(companion_step(last_columns[0], krylov[-1]))
+        row = inverse_row_step(first, row)
+        rhs.append((row[0],))
+    det, ys = solve_scaled(krylov, rhs)
     if det == 0:
         raise InvariantFormError("transvection vector is not cyclic for A")
-    content = 0
-    for col in cols:
-        for x in col:
-            content = gcd(content, x)
-    omega = tuple(tuple(x // content for x in row) for row in zip(*cols))
-    if omega != tuple(tuple(-x for x in col) for col in zip(*omega)):
+    y = ys[0]
+    if y[0] != 0:
         raise InvariantFormError("Krylov solution is not alternating")
-    last_columns = [tuple(row[-1] for row in m) for m in (gen.a, gen.b)]
+    content = gcd(*y)
+    if content == 0:
+        raise DegenerateFormError()
+    neg = tuple([x // content for x in y])
+    t = tuple([-x for x in neg])
+    # row i is -t_i, ..., -t_1, then t_0, ..., t_(n-1-i)
+    omega = tuple(neg[i:0:-1] + t[: n - i] for i in range(n))
     if not preserves_form(omega, last_columns):
         raise InvariantFormError("Krylov solution is not invariant")
     if determinant(omega) == 0:

@@ -5,11 +5,14 @@ value is hashable and safe to share across worker processes.  Rank,
 determinant and solving all run one routine, Bareiss fraction-free
 elimination on integer rows; solving finishes with an exact integer back
 substitution, so no rational number is ever formed.  Companion matrices
-and their inverses are written down in closed form.
+and their inverses are written down in closed form, their first n - 1
+columns read from rows cached once per degree, and each acts on a vector in
+O(n) (companion_step, inverse_row_step).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -37,6 +40,15 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+@lru_cache(maxsize=None)
+def shift_rows(n: int) -> Matrix:
+    """The first n - 1 columns of every n x n companion matrix, as rows:
+    row 0 is zero and row i is e_(i-1), with n - 1 entries each."""
+    return ((0,) * (n - 1),) + tuple(
+        tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)
+    )
+
+
 def companion_matrix(p: IntPoly) -> Matrix:
     """Companion matrix with ones on the subdiagonal and -coefficients in the
     last column, so the characteristic polynomial is p itself.
@@ -44,13 +56,21 @@ def companion_matrix(p: IntPoly) -> Matrix:
     For x^2 - 3x + 1 this is ((0, -1), (1, 3)).
     """
     n = _companion_degree(p)
-    return tuple(
-        tuple(
-            -p.coeffs[i] if j == n - 1 else (1 if i == j + 1 else 0)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    return tuple(row + (-c,) for row, c in zip(shift_rows(n), p.coeffs))
+
+
+def companion_step(last: Vector, x: Vector) -> Vector:
+    """A x in O(n) for the companion matrix A with last column `last`:
+    (A x)_0 = last_0 x_(n-1) and (A x)_i = x_(i-1) + last_i x_(n-1)."""
+    t = x[-1]
+    return (last[0] * t,) + tuple([xi + ci * t for xi, ci in zip(x, last[1:])])
+
+
+def inverse_row_step(first: Vector, r: Vector) -> Vector:
+    """r^T A^-1 in O(n) for the companion inverse A^-1 with first column
+    `first`: its other columns are e_0 .. e_(n-2), so the result is
+    (r . first, r_0, ..., r_(n-2))."""
+    return (sum(map(mul, r, first)),) + r[:-1]
 
 
 def _companion_degree(p: IntPoly) -> int:
@@ -188,8 +208,7 @@ def companion_inverse(p: IntPoly) -> Matrix:
     c0 = p.constant_term
     if c0 not in (1, -1):
         raise NonUnimodularError(-c0 if n % 2 else c0)
-    first = tuple(-c0 * c for c in p.coeffs[1:])
+    rows = shift_rows(n)
     return tuple(
-        tuple(first[i] if j == 0 else (1 if j == i + 1 else 0) for j in range(n))
-        for i in range(n)
+        (-c0 * c,) + rows[(i + 1) % n] for i, c in enumerate(p.coeffs[1:])
     )

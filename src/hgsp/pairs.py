@@ -140,11 +140,15 @@ def make_pair(f_fac: CycloFactorization, g_fac: CycloFactorization) -> Qualified
 
 
 def leading_coeff_diff(f: IntPoly, g: IntPoly) -> int:
-    """Leading coefficient of f - g (the pair's lc invariant), sign included."""
-    d = f - g
-    if d.is_zero():
-        raise ValueError("f - g is zero")
-    return d.leading_coefficient
+    """Leading coefficient of f - g (the pair's lc invariant), sign included,
+    read from the two coefficient tuples from the top."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) != len(b):  # the longer one leads; its top entry is nonzero
+        return a[-1] if len(a) > len(b) else -b[-1]
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return x - y
+    raise ValueError("f - g is zero")
 
 
 def enumerate_factorizations(degree: int) -> list[CycloFactorization]:

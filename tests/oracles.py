@@ -30,6 +30,10 @@ conjugates in rank-one form instead; both must give the same report.
 pair of factorizations, kept when it is its own orbit minimum and passes
 ``make_pair``.  The library walks each class once instead.
 
+``companion_matrix_entries`` and ``companion_inverse_entries`` write the
+companion matrix and its inverse entry by entry; the library reads their
+first n - 1 columns from cached shift rows instead.
+
 ``mat_mul``, ``word_inverse`` and ``coefficient`` are small helpers that
 only the tests need.
 """
@@ -91,6 +95,28 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def companion_matrix_entries(p: IntPoly) -> Matrix:
+    n = p.degree
+    return tuple(
+        tuple(
+            -p.coeffs[i] if j == n - 1 else (1 if i == j + 1 else 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def companion_inverse_entries(p: IntPoly) -> Matrix:
+    """The inverse for constant term c_0 = +-1: first column
+    -c_0 (c_1, ..., c_(n-1), 1), ones on the superdiagonal."""
+    n = p.degree
+    first = tuple(-p.constant_term * c for c in p.coeffs[1:])
+    return tuple(
+        tuple(first[i] if j == 0 else (1 if j == i + 1 else 0) for j in range(n))
+        for i in range(n)
+    )
 
 
 def coefficient(p: IntPoly, k: int) -> int:

@@ -249,6 +249,68 @@ def test_form_requires_cyclic_transvection_vector():
         invariant_symplectic_form(gen)
 
 
+def test_krylov_and_form_determinants_are_a_power_of_the_pairing():
+    """K^T Omega = lambda R with lambda = Omega(u, e_n) and det R = +-1, so
+    |det K det Omega| = |lambda|^n: on a nonsingular K, det Omega != 0
+    follows from lambda != 0."""
+    pairs = enumerate_qualified_pairs(6)
+    assert len(pairs) == 458
+    for pair in pairs:
+        gen = build_generators(pair)
+        u = transvection_vector(gen)
+        krylov = [u]
+        for _ in range(5):
+            krylov.append(mat_vec(gen.a, krylov[-1]))
+        form = invariant_symplectic_form(gen)
+        lam = form.pairing(u, basis_vector(6, 5))
+        assert lam > 0
+        assert abs(determinant(krylov) * determinant(form.omega)) == lam**6, pair.pair_id
+
+
+def _companion_pair(f_coeffs, g_coeffs):
+    f, g = IntPoly(f_coeffs), IntPoly(g_coeffs)
+    return GeneratorPair(a=companion_matrix(f), b=companion_matrix(g),
+                         a_inv=companion_inverse(f), b_inv=companion_inverse(g),
+                         degree=f.degree)
+
+
+def test_form_refuses_generators_without_an_alternating_solution():
+    """f = x^4 + x^3 - 2x^2 - 2x + 1 is not self-reciprocal, and the one
+    Krylov column has y_0 != 0: no invariant alternating form exists."""
+    gen = _companion_pair((1, -2, -2, 1, 1), (1, 0, 1, 2, 1))
+    with pytest.raises(InvariantFormError, match="not alternating"):
+        invariant_symplectic_form(gen)
+
+
+def test_form_refuses_an_alternating_solution_that_is_not_invariant():
+    """Here y_0 = 0, so the Toeplitz solution is alternating, but the
+    last-column condition of preserves_form fails."""
+    gen = _companion_pair((1, -1, -1, -1, 1), (1, 0, -1, -1, 1))
+    with pytest.raises(InvariantFormError, match="not invariant"):
+        invariant_symplectic_form(gen)
+
+
+def test_form_refuses_b_moving_a_prefix_basis_vector():
+    """B differs from a companion matrix off its last column.  u and the
+    Krylov solve read only A, A^-1 and B's last column, so the true form
+    would come out; the B-columns check is what refuses it."""
+    gen = build_generators(pair_by_id("1^6|3^2,6"))
+    b = tuple(row[:1] + (row[1] + (i == 0),) + row[2:] for i, row in enumerate(gen.b))
+    bent = GeneratorPair(a=gen.a, b=b, a_inv=gen.a_inv, b_inv=gen.b_inv, degree=6)
+    with pytest.raises(InvariantFormError, match="does not fix"):
+        invariant_symplectic_form(bent)
+
+
+def test_form_refuses_an_inverse_with_a_zero_first_column():
+    """R e_1 is read from a_inv's first column; a zero column gives the
+    zero solution, which is degenerate (not a division by zero)."""
+    gen = build_generators(pair_by_id("1^6|3^2,6"))
+    a_inv = tuple((0,) + row[1:] for row in gen.a_inv)
+    bad = GeneratorPair(a=gen.a, b=gen.b, a_inv=a_inv, b_inv=gen.b_inv, degree=6)
+    with pytest.raises(DegenerateFormError):
+        invariant_symplectic_form(bad)
+
+
 @lru_cache(maxsize=None)
 def _degree_four_forms():
     """(kernel-oracle form, coefficients of f or g) for every degree-4 class."""

@@ -16,7 +16,9 @@ from hgsp.linalg import (
     NonUnimodularError,
     companion_inverse,
     companion_matrix,
+    companion_step,
     determinant,
+    inverse_row_step,
     linearly_independent,
     mat_vec,
     rank,
@@ -24,6 +26,8 @@ from hgsp.linalg import (
 )
 from hgsp.poly import IntPoly
 from oracles import (
+    companion_inverse_entries,
+    companion_matrix_entries,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -186,6 +190,34 @@ def test_companion_inverse_is_inverse(c0, rest):
     n = p.degree
     assert mat_mul(a, inv) == identity_matrix(n)
     assert mat_mul(inv, a) == identity_matrix(n)
+
+
+@st.composite
+def unimodular_monics(draw):
+    """A monic polynomial of degree 2 to 12 with constant term +-1."""
+    n = draw(st.integers(2, 12))
+    rest = draw(st.lists(st.integers(-20, 20), min_size=n - 1, max_size=n - 1))
+    return IntPoly((draw(st.sampled_from((1, -1))), *rest, 1))
+
+
+@given(unimodular_monics())
+def test_companion_matrices_equal_the_entrywise_oracles(p):
+    a, inv = companion_matrix(p), companion_inverse(p)
+    assert a == companion_matrix_entries(p)
+    assert inv == companion_inverse_entries(p)
+    assert mat_mul(a, inv) == identity_matrix(p.degree)
+
+
+@given(unimodular_monics(), st.data())
+def test_companion_steps_equal_the_dense_products(p, data):
+    """The O(n) steps A x and r^T A^-1 of the invariant form's Krylov solve."""
+    a, inv = companion_matrix(p), companion_inverse(p)
+    vec = st.lists(st.integers(-50, 50), min_size=p.degree, max_size=p.degree).map(tuple)
+    x, r = data.draw(vec), data.draw(vec)
+    last = tuple(row[-1] for row in a)
+    first = tuple(row[0] for row in inv)
+    assert companion_step(last, x) == mat_vec(a, x)
+    assert inverse_row_step(first, r) == mat_vec(transpose(inv), r)
 
 
 @given(st.integers(min_value=-20, max_value=20).filter(lambda c: c not in (1, -1)), lower_coeffs)

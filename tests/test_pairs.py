@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgsp import pairs as pairs_module
 from hgsp.cyclotomic import CycloFactorization
@@ -20,6 +22,7 @@ from hgsp.pairs import (
     mum_oriented,
     qualification_failures,
 )
+from hgsp.poly import IntPoly
 from oracles import all_ordered_pairs_census
 
 PHI1_6 = CycloFactorization(((1, 6),))
@@ -88,6 +91,22 @@ def test_leading_coeff_diff_signed():
     assert leading_coeff_diff(pair.f, pair.g) == -7
     with pytest.raises(ValueError):
         leading_coeff_diff(pair.f, pair.f)
+
+
+coefficient_lists = st.lists(st.integers(-5, 5), max_size=8)
+
+
+@given(coefficient_lists, coefficient_lists)
+def test_leading_coeff_diff_is_that_of_the_difference(fs, gs):
+    """Read from the coefficients, for any lengths, trailing zeros included."""
+    f, g = IntPoly(fs), IntPoly(gs)
+    if f == g:
+        with pytest.raises(ValueError):
+            leading_coeff_diff(f, g)
+    else:
+        assert leading_coeff_diff(f, g) == (f - g).leading_coefficient
+    with pytest.raises(ValueError):
+        leading_coeff_diff(f, f)
 
 
 def test_census_counts_degree_six():
