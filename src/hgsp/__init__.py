@@ -26,7 +26,6 @@ from .hgroup import (
     transvection_vector,
 )
 from .pairs import (
-    DEFAULT_CONVENTION,
     NotQualifiedError,
     PairClassification,
     QualifiedPair,
@@ -43,7 +42,6 @@ from .words import Word, WordSyntaxError
 __all__ = [
     "CertificateReport",
     "CycloFactorization",
-    "DEFAULT_CONVENTION",
     "GeneratorPair",
     "IntPoly",
     "InvariantFormError",

@@ -16,7 +16,7 @@ totient(m) > MAX_DEGREE, is a usage error caught before anything is
 expanded or factored.
 
 Exit codes: 0 success, 1 domain failure (failed verdict, unqualified
-pair, report mismatch), 2 usage or syntax error.
+pair, report mismatch), 2 usage or syntax error or an unusable file.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .hgroup import (
     transvection_vector,
 )
 from .pairs import (
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
+    EQUIVALENCE,
     NotQualifiedError,
     PairClassification,
     QualifiedPair,
@@ -218,7 +217,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error(f"degree must be at most {MAX_DEGREE}, got {args.degree}")
     if args.output and (Path(args.output).is_dir() or not Path(args.output).parent.is_dir()):
         parser.error(f"--output {args.output} must name a file in an existing directory")
-    pairs = enumerate_qualified_pairs(args.degree, args.convention, mum_only=args.mum)
+    pairs = enumerate_qualified_pairs(args.degree, mum_only=args.mum)
     records = [_pair_record(p, with_omega=args.with_omega) for p in pairs]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as out:
@@ -228,7 +227,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     small = sum(1 for p in pairs if abs(p.lc) <= 2)
     print(
         f"total {len(pairs)}, |lc| <= 2: {small}, |lc| >= 3: {len(pairs) - small} "
-        f"(degree {args.degree}, convention {args.convention})",
+        f"(degree {args.degree}, convention {EQUIVALENCE})",
         file=sys.stderr,
     )
     return 0
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list qualified pairs of a degree")
     p_enum.add_argument("--degree", type=int, default=6)
-    p_enum.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
     p_enum.add_argument("--mum", action="store_true", help="only pairs with f = (x-1)^n")
     p_enum.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_enum.add_argument("--output", help="write records here instead of stdout")
@@ -443,6 +441,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except OSError as exc:
+        if exc.filename is None:  # not a file the command opened
+            raise
+        print(f"hgsp: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

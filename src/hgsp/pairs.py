@@ -4,9 +4,9 @@ A pair of monic integer polynomials (f, g) of the same even degree is
 qualified when both are products of cyclotomic polynomials, they share no
 factor, both have constant term 1, the pair is primitive (f and g are not
 both polynomials in x^k for any k >= 2), and f != g.  Pairs are counted up
-to scalar shift x -> -x, optionally also up to swapping f and g; the
-combined convention is the package default because it is the one the
-embedded degree-6 tables are stated in.
+to scalar shift x -> -x and swapping f and g: (f, g) and (g, f) give the
+same group <A, B>, and the embedded degree-6 tables count their 458
+classes this way.
 
 Each rule is stated once.  qualification_failures is the qualification
 rule, and make_pair, which the package builds every QualifiedPair with,
@@ -17,10 +17,9 @@ search, the pre-search buckets and the CLI use them.
 Enumeration walks each class once.  The factorizations are sorted by their
 encoding, and each one's encoding and shifted encoding are read once per
 call.  A class is listed as its orbit minimum, the member (f, g) whose pair
-of encodings is least.  Under shift-and-swap, (f, g) <= (g, f) means j >= i
-for the i-th and j-th factorizations, so the inner loop starts at i and only
-the two shifted members (f', g') and (g', f') are compared, as tuples of
-encodings; under shift alone j starts at 0 and (f', g') is the one rival.
+of encodings is least.  (f, g) <= (g, f) means j >= i for the i-th and j-th
+factorizations, so the inner loop starts at i and only the two shifted
+members (f', g') and (g', f') are compared, as tuples of encodings.
 Before make_pair, a pair is skipped only for two failures that
 qualification_failures also reports: a factorization with constant term -1,
 or a common factor.  make_pair then applies the whole rule to the rest.
@@ -36,13 +35,9 @@ from typing import Optional, Sequence
 from .cyclotomic import CycloFactorization, admissible_indices, totient
 from .poly import IntPoly
 
-SHIFT = "shift"
-SHIFT_SWAP = "shift-swap"
-CONVENTIONS = (SHIFT, SHIFT_SWAP)
-
-#: Dedup convention under which the degree-6 census has 458 classes
-#: (shift alone gives 906).
-DEFAULT_CONVENTION = SHIFT_SWAP
+#: The pair equivalence, scalar shift and swap, as the report and the
+#: enumerate summary name it.
+EQUIVALENCE = "shift-swap"
 
 
 class NotQualifiedError(ValueError):
@@ -174,30 +169,24 @@ def enumerate_factorizations(degree: int) -> list[CycloFactorization]:
 
 
 def _orbit(
-    f_fac: CycloFactorization, g_fac: CycloFactorization, convention: str
+    f_fac: CycloFactorization, g_fac: CycloFactorization
 ) -> list[tuple[CycloFactorization, CycloFactorization]]:
     shifted = (f_fac.scalar_shift(), g_fac.scalar_shift())
-    if convention == SHIFT:
-        return [(f_fac, g_fac), shifted]
-    if convention == SHIFT_SWAP:
-        return [(f_fac, g_fac), shifted, (g_fac, f_fac), shifted[::-1]]
-    raise ValueError(f"unknown convention {convention!r}")
+    return [(f_fac, g_fac), shifted, (g_fac, f_fac), shifted[::-1]]
 
 
 def _orbit_minimum(
-    f_fac: CycloFactorization, g_fac: CycloFactorization, convention: str
+    f_fac: CycloFactorization, g_fac: CycloFactorization
 ) -> tuple[CycloFactorization, CycloFactorization]:
     """The orbit member with lexicographically least factorization encoding."""
-    return min(_orbit(f_fac, g_fac, convention), key=lambda fg: (fg[0].factors, fg[1].factors))
+    return min(_orbit(f_fac, g_fac), key=lambda fg: (fg[0].factors, fg[1].factors))
 
 
 def canonical_representative(
-    f_fac: CycloFactorization,
-    g_fac: CycloFactorization,
-    convention: str = DEFAULT_CONVENTION,
+    f_fac: CycloFactorization, g_fac: CycloFactorization
 ) -> QualifiedPair:
     """The class's orbit minimum, as a qualified pair."""
-    return make_pair(*_orbit_minimum(f_fac, g_fac, convention))
+    return make_pair(*_orbit_minimum(f_fac, g_fac))
 
 
 def mum_oriented(pair: QualifiedPair) -> QualifiedPair:
@@ -207,31 +196,22 @@ def mum_oriented(pair: QualifiedPair) -> QualifiedPair:
     zero.  Raises ValueError when the class is not maximally unipotent.
     """
     target = ((1, pair.degree),)
-    for f_fac, g_fac in _orbit(pair.f_fac, pair.g_fac, SHIFT_SWAP):
+    for f_fac, g_fac in _orbit(pair.f_fac, pair.g_fac):
         if f_fac.factors == target:
             return make_pair(f_fac, g_fac)
     raise ValueError("pair is not maximally unipotent")
 
 
-def enumerate_qualified_pairs(
-    degree: int,
-    convention: str = DEFAULT_CONVENTION,
-    mum_only: bool = False,
-) -> list[QualifiedPair]:
-    """All qualified pairs of the given degree, one per equivalence class.
+def enumerate_qualified_pairs(degree: int, *, mum_only: bool = False) -> list[QualifiedPair]:
+    """All qualified pairs of the given degree, one per class under scalar
+    shift and swap, listed by the canonical representative's encoding.
 
-    Classes are taken under scalar shift, plus swap when the convention says
-    so, and listed by the canonical representative's encoding.  In even
-    degree qualification is invariant under shift and swap, so the ordered
-    pairs that are their own orbit minimum and pass make_pair, walked in
-    encoding order, are the classes in order (the walk is in the module
-    docstring).  With mum_only, each maximally unipotent class is listed
-    once, as its mum_oriented member; the shift classes (1^n, g) and
-    (g, 1^n) share it, so shift-and-swap classes are walked.
+    In even degree qualification is invariant under shift and swap, so the
+    ordered pairs that are their own orbit minimum and pass make_pair,
+    walked in encoding order, are the classes in order (the walk is in the
+    module docstring).  With mum_only, each maximally unipotent class is
+    listed once, as its mum_oriented member.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    swap = mum_only or convention == SHIFT_SWAP
     facs = enumerate_factorizations(degree)
     keys = [fac.factors for fac in facs]
     shifted = [fac.scalar_shift().factors for fac in facs]
@@ -241,12 +221,12 @@ def enumerate_qualified_pairs(
         if not even[i]:
             continue
         key_f, shift_f = keys[i], shifted[i]
-        for j in range(i if swap else 0, len(facs)):
+        for j in range(i, len(facs)):
             g_fac = facs[j]
             if not even[j] or not f_fac.support.isdisjoint(g_fac.support):
                 continue
             key = (key_f, keys[j])
-            if key > (shift_f, shifted[j]) or (swap and key > (shifted[j], shift_f)):
+            if key > (shift_f, shifted[j]) or key > (shifted[j], shift_f):
                 continue
             try:
                 reps.append(make_pair(f_fac, g_fac))

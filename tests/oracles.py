@@ -64,8 +64,6 @@ from hgsp.linalg import (
     solve_scaled,
 )
 from hgsp.pairs import (
-    SHIFT,
-    SHIFT_SWAP,
     NotQualifiedError,
     QualifiedPair,
     _orbit_minimum,
@@ -154,17 +152,13 @@ def is_transvection(c: Matrix) -> bool:
 # -- census --------------------------------------------------------------------
 
 
-def all_ordered_pairs_census(
-    degree: int, convention: str, mum_only: bool = False
-) -> list[QualifiedPair]:
+def all_ordered_pairs_census(degree: int, *, mum_only: bool = False) -> list[QualifiedPair]:
     """One qualified pair per class, from every ordered pair of factorizations."""
-    if mum_only and convention == SHIFT:
-        convention = SHIFT_SWAP
     facs = enumerate_factorizations(degree)
     reps = []
     for f_fac in facs:
         for g_fac in facs:
-            if _orbit_minimum(f_fac, g_fac, convention) != (f_fac, g_fac):
+            if _orbit_minimum(f_fac, g_fac) != (f_fac, g_fac):
                 continue
             try:
                 reps.append(make_pair(f_fac, g_fac))

@@ -80,6 +80,29 @@ def test_enumerate_output_must_be_a_file_in_a_directory(tmp_path, monkeypatch, c
     assert not (tmp_path / "missing").exists()
 
 
+def _dangling_link(tmp_path):
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "f")
+    return link
+
+
+def _unusable_path_error(capsys, link):
+    """The one stderr line for a file that cannot be written, and stdout."""
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line == f"hgsp: {link}: No such file or directory"
+    return captured.out
+
+
+def test_enumerate_output_through_a_dangling_link(tmp_path, capsys):
+    """The parent directory exists, so only opening the file fails."""
+    link = _dangling_link(tmp_path)
+    assert main(["enumerate", "--degree", "4", "--output", str(link)]) == 2
+    assert _unusable_path_error(capsys, link) == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_enumerate_rejects_odd_degree(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--degree", "5"])
@@ -305,6 +328,17 @@ def test_search_cache_path_under_a_file(tmp_path, monkeypatch, capsys):
     assert blocker.read_text() == ""
 
 
+def test_search_cache_through_a_dangling_link(tmp_path, capsys):
+    """Loading reads no file, and storing the result fails after it is
+    printed."""
+    link = _dangling_link(tmp_path)
+    argv = ["search", "--f", "1^6", "--g", "3^2,6", "--max-depth", "2", "--cache", str(link)]
+    assert main(argv) == 2
+    out = _unusable_path_error(capsys, link)
+    assert json.loads(out)["status"] == "not_found"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_search_cache_creates_missing_directories(tmp_path, capsys):
     cache = tmp_path / "new" / "sub" / "c.jsonl"
     rc, out, _ = run(capsys, "search", "--f", "1^6", "--g", "3,6^2",
@@ -496,11 +530,26 @@ def test_report_json(capsys):
 
 
 def test_report_flipped_convention_fails(capsys):
-    """report runs under the default convention only: --convention is an
-    unknown option (enumerate keeps it)."""
+    """report runs up to shift and swap only: --convention is an unknown
+    option."""
     with pytest.raises(SystemExit) as err:
         main(["report", "--convention", "shift"])
     assert err.value.code == 2
     usage, line = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage:")
     assert line == "hgsp: error: unrecognized arguments: --convention shift"
+
+
+@pytest.mark.parametrize("convention", ["shift", "shift-swap"])
+def test_enumerate_takes_no_convention(monkeypatch, capsys, convention):
+    """Classes are taken up to shift and swap only: --convention is an
+    unknown option, refused before anything is enumerated."""
+    monkeypatch.setattr("hgsp.cli.enumerate_qualified_pairs", _refuse)
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--degree", "4", "--convention", convention])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, line = captured.err.splitlines()
+    assert usage.startswith("usage:")
+    assert line == f"hgsp: error: unrecognized arguments: --convention {convention}"

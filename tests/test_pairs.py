@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from hgsp import pairs as pairs_module
 from hgsp.cyclotomic import CycloFactorization
 from hgsp.pairs import (
-    DEFAULT_CONVENTION,
-    SHIFT,
-    SHIFT_SWAP,
+    EQUIVALENCE,
     NotQualifiedError,
     canonical_representative,
     enumerate_factorizations,
@@ -120,26 +118,16 @@ def test_census_counts_degree_six():
 
 def test_census_counts_degree_four():
     assert len(enumerate_qualified_pairs(4)) == 58
-    assert len(enumerate_qualified_pairs(4, mum_only=True)) == 14
-
-
-def test_census_shift_only_convention():
-    assert len(enumerate_qualified_pairs(6, SHIFT)) == 906
-
-
-@pytest.mark.parametrize("degree", [4, 6])
-def test_mum_list_is_the_same_under_both_conventions(degree):
-    # the shift classes (1^n, g) and (g, 1^n) have one mum-oriented member,
-    # listed once
-    shift = enumerate_qualified_pairs(degree, SHIFT, mum_only=True)
-    both = enumerate_qualified_pairs(degree, SHIFT_SWAP, mum_only=True)
-    assert [p.pair_id for p in shift] == [p.pair_id for p in both]
-    assert len({p.pair_id for p in shift}) == len(shift) == {4: 14, 6: 40}[degree]
+    mums = enumerate_qualified_pairs(4, mum_only=True)
+    assert len({p.pair_id for p in mums}) == len(mums) == 14
 
 
 def test_census_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        enumerate_qualified_pairs(6, "reflect")
+    # classes are taken up to shift and swap only: the census takes no
+    # convention, and mum_only is keyword-only, so a stray one is refused
+    for convention in ("shift", "shift-swap"):
+        with pytest.raises(TypeError):
+            enumerate_qualified_pairs(6, convention)
 
 
 def test_census_entries_unique_and_canonical():
@@ -151,16 +139,20 @@ def test_census_entries_unique_and_canonical():
         assert rep.pair_id == p.pair_id
 
 
-@pytest.mark.parametrize("degree", [4, 6])
-@pytest.mark.parametrize("convention", [SHIFT, SHIFT_SWAP])
-def test_census_matches_brute_force_classes(degree, convention):
+def _census_id(degree):
+    """Case id: the equivalence, as the census summaries name it, and the degree."""
+    return f"{EQUIVALENCE}-{degree}"
+
+
+@pytest.mark.parametrize("degree", [4, 6], ids=_census_id)
+def test_census_matches_brute_force_classes(degree):
     # every qualified ordered pair, mapped to its class representative
     facs = enumerate_factorizations(degree)
     classes = {
-        canonical_representative(f, g, convention).pair_id
+        canonical_representative(f, g).pair_id
         for f in facs for g in facs if not qualification_failures(f, g)
     }
-    pairs = enumerate_qualified_pairs(degree, convention)
+    pairs = enumerate_qualified_pairs(degree)
     assert [p.pair_id for p in pairs] == sorted(
         classes, key=lambda pid: tuple(CycloFactorization.parse(s).factors for s in pid.split("|"))
     )
@@ -175,29 +167,25 @@ def test_census_qualifies_each_class_once(monkeypatch):
         return real(f_fac, g_fac)
 
     monkeypatch.setattr(pairs_module, "qualification_failures", counting)
-    for convention in (SHIFT, SHIFT_SWAP):
-        calls.clear()
-        reps = enumerate_qualified_pairs(6, convention)
-        assert len(set(calls)) == len(calls)
-        assert [fg for fg in calls if not real(*fg)] == [(p.f_fac, p.g_fac) for p in reps]
+    reps = enumerate_qualified_pairs(6)
+    assert len(set(calls)) == len(calls)
+    assert [fg for fg in calls if not real(*fg)] == [(p.f_fac, p.g_fac) for p in reps]
 
 
 def _pair_data(pairs):
     return [(p.pair_id, p.lc, p.f, p.g) for p in pairs]
 
 
-@pytest.mark.parametrize("degree", [4, 6, 8])
-@pytest.mark.parametrize("convention", [SHIFT, SHIFT_SWAP])
+@pytest.mark.parametrize("degree", [4, 6, 8], ids=_census_id)
 @pytest.mark.parametrize("mum_only", [False, True])
-def test_census_matches_the_all_ordered_pairs_oracle(degree, convention, mum_only):
-    assert _pair_data(enumerate_qualified_pairs(degree, convention, mum_only)) == _pair_data(
-        all_ordered_pairs_census(degree, convention, mum_only)
+def test_census_matches_the_all_ordered_pairs_oracle(degree, mum_only):
+    assert _pair_data(enumerate_qualified_pairs(degree, mum_only=mum_only)) == _pair_data(
+        all_ordered_pairs_census(degree, mum_only=mum_only)
     )
 
 
-@pytest.mark.parametrize("degree", [6, 8])
-@pytest.mark.parametrize("convention", [SHIFT, SHIFT_SWAP])
-def test_census_skips_only_unqualified_or_non_minimal_pairs(monkeypatch, degree, convention):
+@pytest.mark.parametrize("degree", [6, 8], ids=_census_id)
+def test_census_skips_only_unqualified_or_non_minimal_pairs(monkeypatch, degree):
     built = set()
     real = make_pair
 
@@ -206,13 +194,13 @@ def test_census_skips_only_unqualified_or_non_minimal_pairs(monkeypatch, degree,
         return real(f_fac, g_fac)
 
     monkeypatch.setattr(pairs_module, "make_pair", recording)
-    enumerate_qualified_pairs(degree, convention)
+    enumerate_qualified_pairs(degree)
     facs = enumerate_factorizations(degree)
     skipped = [(f, g) for f in facs for g in facs if (f, g) not in built]
     assert len(skipped) > len(facs) ** 2 // 2
     for f, g in skipped:
         assert (
-            pairs_module._orbit_minimum(f, g, convention) != (f, g)
+            pairs_module._orbit_minimum(f, g) != (f, g)
             or qualification_failures(f, g)
         ), (f.text, g.text)
 
@@ -226,16 +214,12 @@ def test_canonical_representative_orbit_invariance():
     )
     swapped = canonical_representative(pair.g_fac, pair.f_fac)
     assert rep.pair_id == shifted.pair_id == swapped.pair_id
-    # under shift-only, the swap lands in a different class
-    swapped_shift = canonical_representative(pair.g_fac, pair.f_fac, SHIFT)
-    assert swapped_shift.pair_id != canonical_representative(
-        pair.f_fac, pair.g_fac, SHIFT
-    ).pair_id
 
 
 def test_mum_only_returns_mum_orientation():
     mums = enumerate_qualified_pairs(6, mum_only=True)
-    assert len(mums) == 40
+    # the classes of (1^6, g) and (g, 1^6) are one, listed once
+    assert len({p.pair_id for p in mums}) == len(mums) == 40
     for p in mums:
         assert p.f_fac.factors == ((1, 6),)
         assert p.alpha == (Fraction(0),) * 6
@@ -296,4 +280,5 @@ def test_lc_values_match_mum_table_members():
 
 
 def test_default_convention_is_shift_swap():
-    assert DEFAULT_CONVENTION == SHIFT_SWAP
+    # the one equivalence, as the report and the enumerate summary name it
+    assert EQUIVALENCE == "shift-swap"

@@ -3,8 +3,8 @@
 The enumeration and analyze digests and texts were captured from the
 implementation in which enumeration restated the qualification rule inline;
 they hold any later rewrite of the pair layer to the same classes, order and
-records.  The shift-only --mum digests equal the shift-and-swap ones: each
-maximally unipotent class is listed once under either convention.  The
+records.  Classes are taken up to scalar shift and swap, and the --mum
+digests list each maximally unipotent class once, as (1^n, g).  The
 depth-8 and depth-7 search digests were captured from the engine that cut
 each suffix block out of a per-length level, and the depth-10 digest, whose
 scans step up to five letters before a block, from the engine with
@@ -18,7 +18,7 @@ import json
 import pytest
 
 from hgsp.cli import main
-from hgsp.pairs import SHIFT, SHIFT_SWAP, enumerate_qualified_pairs
+from hgsp.pairs import EQUIVALENCE, enumerate_qualified_pairs
 from hgsp.search import SearchConfig, search_witness
 
 
@@ -27,31 +27,28 @@ def sha256(text: str) -> str:
 
 
 ENUMERATE_STDOUT = {
-    (4, SHIFT, False): "3a6adc387e40f533a320f27cc21d9264d59ed20e1b63abcb901969b0a50242e9",
-    (4, SHIFT, True): "6ba8211b6f387da0372d422e5a6f0336ac6ab9e62fdccd6e6ed241d404d8d63e",
-    (4, SHIFT_SWAP, False): "ae3afcaf615c1b738db0e55b0dff4940b6dfa3e587be7765cea453a3353db17f",
-    (4, SHIFT_SWAP, True): "6ba8211b6f387da0372d422e5a6f0336ac6ab9e62fdccd6e6ed241d404d8d63e",
-    (6, SHIFT, False): "18e045aee40b9817714f58b5bb8f227044bc713d8449a5fb4a4ed0ffabdb4c8a",
-    (6, SHIFT, True): "6790bcc5ae7b303eb43f7d209e7c0290d4d279f83d077dfc93e72b539bc62841",
-    (6, SHIFT_SWAP, False): "db80c3b89e3b99e3d2fc1f16886ca930c708b8a2fab11bb76137eaf7ced882ce",
-    (6, SHIFT_SWAP, True): "6790bcc5ae7b303eb43f7d209e7c0290d4d279f83d077dfc93e72b539bc62841",
+    (4, False): "ae3afcaf615c1b738db0e55b0dff4940b6dfa3e587be7765cea453a3353db17f",
+    (4, True): "6ba8211b6f387da0372d422e5a6f0336ac6ab9e62fdccd6e6ed241d404d8d63e",
+    (6, False): "db80c3b89e3b99e3d2fc1f16886ca930c708b8a2fab11bb76137eaf7ced882ce",
+    (6, True): "6790bcc5ae7b303eb43f7d209e7c0290d4d279f83d077dfc93e72b539bc62841",
 }
 
 
-@pytest.mark.parametrize("degree,convention,mum", sorted(ENUMERATE_STDOUT))
-def test_enumerate_stdout_digest(capsys, degree, convention, mum):
-    argv = ["enumerate", "--degree", str(degree), "--convention", convention]
+@pytest.mark.parametrize(
+    "degree,mum",
+    sorted(ENUMERATE_STDOUT),
+    ids=[f"{degree}-{EQUIVALENCE}-{mum}" for degree, mum in sorted(ENUMERATE_STDOUT)],
+)
+def test_enumerate_stdout_digest(capsys, degree, mum):
+    argv = ["enumerate", "--degree", str(degree)]
     assert main(argv + (["--mum"] if mum else [])) == 0
     out = capsys.readouterr().out
-    assert sha256(out) == ENUMERATE_STDOUT[degree, convention, mum]
+    assert sha256(out) == ENUMERATE_STDOUT[degree, mum]
 
 
-@pytest.mark.parametrize("convention,digest", [
-    (SHIFT, "a829f01fb759c9a19fa30ff2fb8a39ab4ad9722bbfdf110d5a026563d28e7a58"),
-    (SHIFT_SWAP, "c81f93e99ea8f32d348256de91044831f265542a0eb99f3da2ef14e936f0db1d"),
-])
-def test_degree_eight_ids_and_lc_digest(convention, digest):
-    pairs = enumerate_qualified_pairs(8, convention)
+def test_degree_eight_ids_and_lc_digest():
+    pairs = enumerate_qualified_pairs(8)
+    digest = "c81f93e99ea8f32d348256de91044831f265542a0eb99f3da2ef14e936f0db1d"
     assert sha256(repr([(p.pair_id, p.lc) for p in pairs])) == digest
 
 
