@@ -16,7 +16,8 @@ totient(m) > MAX_DEGREE, is a usage error caught before anything is
 expanded or factored.
 
 Exit codes: 0 success, 1 domain failure (failed verdict, unqualified
-pair, report mismatch), 2 usage or syntax error or an unusable file.
+pair, report mismatch), 2 usage or syntax error or an unusable file, 141
+(128 + SIGPIPE) when stdout's reader closes it early (`hgsp ... | head`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
@@ -437,10 +439,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a closed pipe then shows here, not at exit
+        return code
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except BrokenPipeError:  # stop quietly; the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         if exc.filename is None:  # not a file the command opened
             raise

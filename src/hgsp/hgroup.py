@@ -1,10 +1,12 @@
 """Group data attached to a qualified pair.
 
-The group is generated by the companion matrices A of f and B of g.  The
-element A^-1 B is a transvection; its direction vector v = (A^-1 B - I) e_n
-has i-th entry equal to the coefficient of x^i in f - g.  The full group
-preserves a unique (up to scale) nondegenerate alternating bilinear form,
-recovered here from one column of one Krylov solve.
+The group is generated by the companion matrices A of f and B of g; each
+letter is a shift but for one column (GeneratorPair.columns) and acts in
+O(n).  The element A^-1 B is a transvection; its direction vector
+v = (A^-1 B - I) e_n has i-th entry equal to the coefficient of x^i in
+f - g.  The full group preserves a unique (up to scale) nondegenerate
+alternating bilinear form, recovered here from one column of one Krylov
+solve.
 
 Since A^-1 B - I = v e_n^T, every invariant alternating form Omega has
 v^T Omega = mu e_n^T with mu = Omega(v, e_n), hence
@@ -15,30 +17,20 @@ e_(j+1) for j < n, so A^T Omega A = Omega gives
 Omega[i+1][j+1] = Omega[i][j]: Omega is Toeplitz, Omega[i][j] = t_(j-i),
 and alternation makes t_(-k) = -t_k.  Its first column (-t_0, ..., -t_(n-1))
 fixes all of it, so one right-hand side, R e_1, is solved instead of n.
-Both Krylov sequences step in O(n): A x by the companion shape, and
-r^T A^-1 by the inverse's ones above the diagonal (linalg.companion_step,
-linalg.inverse_row_step).
+Both Krylov sequences step in O(n), A x and r^T A^-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .linalg import (
-    Matrix,
-    Vector,
-    companion_inverse,
-    companion_matrix,
-    companion_step,
-    determinant,
-    inverse_row_step,
-    mat_vec,
-    shift_rows,
-    solve_scaled,
-)
+from .linalg import Matrix, Vector, companion_matrix, companion_step, determinant, mat_vec
+from .linalg import inverse_first_column, inverse_row_step, inverse_step, solve_scaled
 from .pairs import QualifiedPair
+from .poly import IntPoly
 
 
 class InvariantFormError(ValueError):
@@ -52,13 +44,36 @@ class DegenerateFormError(InvariantFormError):
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Companion matrices of f and g with their inverses, all unimodular."""
+    """The generators A and B, the companion matrices of f and g, which
+    construction checks are monic of one degree with constant term +-1."""
 
-    a: Matrix
-    b: Matrix
-    a_inv: Matrix
-    b_inv: Matrix
-    degree: int
+    f: IntPoly
+    g: IntPoly
+
+    def __post_init__(self) -> None:
+        if self.f.degree != self.g.degree:
+            raise ValueError("f and g must have one degree")
+        self.columns  # raises unless f and g are monic with constant term +-1
+
+    @property
+    def degree(self) -> int:
+        return self.f.degree
+
+    @cached_property
+    def columns(self) -> tuple[Vector, Vector, Vector, Vector]:
+        """In letter order: the last columns of A and B and the first
+        columns of A^-1 and B^-1; each fixes its letter's matrix."""
+        firsts = [inverse_first_column(p) for p in (self.f, self.g)]  # checks f and g
+        lasts = [tuple([-c for c in p.coeffs[:-1]]) for p in (self.f, self.g)]
+        return (*lasts, *firsts)
+
+    @property
+    def a(self) -> Matrix:
+        return companion_matrix(self.f)
+
+    @property
+    def b(self) -> Matrix:
+        return companion_matrix(self.g)
 
 
 @dataclass(frozen=True)
@@ -76,18 +91,12 @@ class SymplecticForm:
 
 
 def build_generators(pair: QualifiedPair) -> GeneratorPair:
-    return GeneratorPair(
-        a=companion_matrix(pair.f),
-        b=companion_matrix(pair.g),
-        a_inv=companion_inverse(pair.f),
-        b_inv=companion_inverse(pair.g),
-        degree=pair.degree,
-    )
+    return GeneratorPair(pair.f, pair.g)
 
 
 def transvection_vector(gen: GeneratorPair) -> Vector:
     """v = (A^-1 B - I) e_n, the direction of the transvection A^-1 B."""
-    c_en = mat_vec(gen.a_inv, tuple(row[-1] for row in gen.b))
+    c_en = inverse_step(gen.columns[2], gen.columns[1])  # A^-1 times B's last column
     return c_en[:-1] + (c_en[-1] - 1,)
 
 
@@ -113,38 +122,33 @@ def invariant_symplectic_form(
     Alternation then needs only y_0 = 0.
 
     Invariance is checked without forming M^T Omega M; indices run from 0
-    here.  A is checked to be a companion matrix and B shares its first n-1
-    columns, so each M of A, B sends e_j to e_(j+1) for j < n-1 and e_(n-1)
-    to its last column c_M.  The (i, j) entry of M^T Omega M is then
-    Omega[i+1][j+1] for i, j < n-1 and (Omega c_M)[i+1] for i < n-1,
-    j = n-1; the rest follows by antisymmetry, with c_M^T Omega c_M = 0.
-    So for alternating Omega, M^T Omega M = Omega exactly when
+    here.  A and B are companion matrices, so each M of A, B sends e_j to
+    e_(j+1) for j < n-1 and e_(n-1) to its last column c_M.  The (i, j)
+    entry of M^T Omega M is then Omega[i+1][j+1] for i, j < n-1 and
+    (Omega c_M)[i+1] for i < n-1, j = n-1; the rest follows by
+    antisymmetry, with c_M^T Omega c_M = 0.  So for alternating Omega,
+    M^T Omega M = Omega exactly when
 
         Omega[i+1][j+1] = Omega[i][j]      for i, j < n-1 (shared by A, B),
         (Omega c_M)[i+1] = Omega[i][n-1]   for i < n-1;
 
     Omega is built Toeplitz, so preserves_form checks only the second.
 
-    The result is divided by its content and its sign fixed so that
-    Omega(v, e_n) > 0, with v defaulting to u.  Raises InvariantFormError
-    when A is not a companion matrix, K is singular or a check fails,
-    DegenerateFormError when the form or its pairing of v with e_n is
-    degenerate.
+    K is nonsingular and R unimodular, so y is never zero.  The result is
+    divided by its content and its sign fixed so that Omega(v, e_n) > 0,
+    with v defaulting to u.  Raises InvariantFormError when K is singular
+    or a check fails, DegenerateFormError when the form or its pairing of
+    v with e_n is degenerate.
     """
     n = gen.degree
-    if any(ra[:-1] != rb[:-1] for ra, rb in zip(gen.a, gen.b)):
-        raise InvariantFormError("A^-1 B does not fix e_1 .. e_(n-1)")
-    if any(row[:-1] != shift for row, shift in zip(gen.a, shift_rows(n))):
-        raise InvariantFormError("A is not a companion matrix")
-    last_columns = [tuple(row[-1] for row in m) for m in (gen.a, gen.b)]
-    first = tuple(row[0] for row in gen.a_inv)
+    last_a, last_b, first_a, _ = gen.columns
     u = transvection_vector(gen)
     krylov = [u]
     row = (0,) * (n - 1) + (1,)
     rhs = [(row[0],)]
     for _ in range(n - 1):
-        krylov.append(companion_step(last_columns[0], krylov[-1]))
-        row = inverse_row_step(first, row)
+        krylov.append(companion_step(last_a, krylov[-1]))
+        row = inverse_row_step(first_a, row)
         rhs.append((row[0],))
     det, ys = solve_scaled(krylov, rhs)
     if det == 0:
@@ -153,13 +157,11 @@ def invariant_symplectic_form(
     if y[0] != 0:
         raise InvariantFormError("Krylov solution is not alternating")
     content = gcd(*y)
-    if content == 0:
-        raise DegenerateFormError()
     neg = tuple([x // content for x in y])
     t = tuple([-x for x in neg])
     # row i is -t_i, ..., -t_1, then t_0, ..., t_(n-1-i)
     omega = tuple(neg[i:0:-1] + t[: n - i] for i in range(n))
-    if not preserves_form(omega, last_columns):
+    if not preserves_form(omega, (last_a, last_b)):
         raise InvariantFormError("Krylov solution is not invariant")
     if determinant(omega) == 0:
         raise DegenerateFormError()

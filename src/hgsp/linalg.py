@@ -4,15 +4,14 @@ Matrices are tuples of row tuples and vectors are plain tuples, so every
 value is hashable and safe to share across worker processes.  Rank,
 determinant and solving all run one routine, Bareiss fraction-free
 elimination on integer rows; solving finishes with an exact integer back
-substitution, so no rational number is ever formed.  Companion matrices
-and their inverses are written down in closed form, their first n - 1
-columns read from rows cached once per degree, and each acts on a vector in
-O(n) (companion_step, inverse_row_step).
+substitution, so no rational number is ever formed.  A companion matrix
+A sends e_j to e_(j+1) for j < n - 1, so A is fixed by its last column and
+A^-1 by its first, and four O(n) steps act with them on ints of any size:
+A x, r^T A, A^-1 x and r^T A^-1.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -36,19 +35,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-@lru_cache(maxsize=None)
-def shift_rows(n: int) -> Matrix:
-    """The first n - 1 columns of every n x n companion matrix, as rows:
-    row 0 is zero and row i is e_(i-1), with n - 1 entries each."""
-    return ((0,) * (n - 1),) + tuple(
-        tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)
-    )
-
-
 def companion_matrix(p: IntPoly) -> Matrix:
     """Companion matrix with ones on the subdiagonal and -coefficients in the
     last column, so the characteristic polynomial is p itself.
@@ -56,7 +42,21 @@ def companion_matrix(p: IntPoly) -> Matrix:
     For x^2 - 3x + 1 this is ((0, -1), (1, 3)).
     """
     n = _companion_degree(p)
-    return tuple(row + (-c,) for row, c in zip(shift_rows(n), p.coeffs))
+    return tuple(
+        tuple(int(i == j + 1) for j in range(n - 1)) + (-c,)
+        for i, c in enumerate(p.coeffs[:n])
+    )
+
+
+def inverse_first_column(p: IntPoly) -> Vector:
+    """First column of the inverse of companion_matrix(p), the preimage of
+    e_0: -(c_1, ..., c_(n-1), 1) / c_0, integral exactly when c_0 = +-1
+    (NonUnimodularError otherwise).  For x^2 - 3x + 1 this is (3, -1)."""
+    n = _companion_degree(p)
+    c0 = p.constant_term
+    if c0 not in (1, -1):
+        raise NonUnimodularError(-c0 if n % 2 else c0)
+    return tuple([-c0 * c for c in p.coeffs[1:]])
 
 
 def companion_step(last: Vector, x: Vector) -> Vector:
@@ -66,10 +66,22 @@ def companion_step(last: Vector, x: Vector) -> Vector:
     return (last[0] * t,) + tuple([xi + ci * t for xi, ci in zip(x, last[1:])])
 
 
+def companion_row_step(last: Vector, r: Vector) -> Vector:
+    """r^T A in O(n) for the companion matrix A with last column `last`:
+    (r_1, ..., r_(n-1), r . last)."""
+    return r[1:] + (sum(map(mul, r, last)),)
+
+
+def inverse_step(first: Vector, x: Vector) -> Vector:
+    """A^-1 x in O(n) for the companion inverse with first column `first`
+    and e_0 .. e_(n-2) after it: (A^-1 x)_i = x_(i+1) + first_i x_0, x_n = 0."""
+    t = x[0]
+    return tuple([xi + ci * t for xi, ci in zip(x[1:], first)]) + (first[-1] * t,)
+
+
 def inverse_row_step(first: Vector, r: Vector) -> Vector:
     """r^T A^-1 in O(n) for the companion inverse A^-1 with first column
-    `first`: its other columns are e_0 .. e_(n-2), so the result is
-    (r . first, r_0, ..., r_(n-2))."""
+    `first`: (r . first, r_0, ..., r_(n-2))."""
     return (sum(map(mul, r, first)),) + r[:-1]
 
 
@@ -193,22 +205,3 @@ def solve_scaled(a: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[Vec
         xs.append(tuple(x))
     return det, xs
 
-
-def companion_inverse(p: IntPoly) -> Matrix:
-    """Inverse of companion_matrix(p), written down directly.
-
-    The companion matrix sends e_j to e_(j+1) for j < n, so its inverse has
-    ones on the superdiagonal; solving for the preimage of e_1 gives the
-    first column -(c_1, ..., c_(n-1), 1) / c_0.  That is integral exactly
-    when c_0 = +-1, and NonUnimodularError is raised otherwise.
-
-    For x^2 - 3x + 1 this is ((3, 1), (-1, 0)).
-    """
-    n = _companion_degree(p)
-    c0 = p.constant_term
-    if c0 not in (1, -1):
-        raise NonUnimodularError(-c0 if n % 2 else c0)
-    rows = shift_rows(n)
-    return tuple(
-        (-c0 * c,) + rows[(i + 1) % n] for i, c in enumerate(p.coeffs[1:])
-    )

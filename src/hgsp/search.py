@@ -10,38 +10,40 @@ node counts are the exact reduced-word counts 4 * 3^(d-1) (words settled,
 not words tested; see below), and the result is identical no matter how
 many worker processes share the tree.
 
-Everything here is exact integer arithmetic.  The last entry of gamma(v)
-is r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root)
-is the only state the search carries.  A step r -> r L copies entry i of r
-where column j of L is e_i and takes one dot product over the nonzeros of
-every other column.  The last 6 letters of every word (all of a shorter
+Everything here is exact integer arithmetic.  The last entry of gamma(v) is
+r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root) is
+the only state the search carries.  A step r -> r L is one O(n) row step on
+the letter's column (words.LETTER_ROW_STEPS), as every letter is a shift
+but for that column.  The last 6 letters of every word (all of a shorter
 one) are tested as a suffix block: the at most 486 suffixes s that may
 follow the prefix, in lexicographic order, with each coordinate of
 w_s = L_s v packed into one big int at 32 or 64 bits per suffix.  A block
-stores only its count; the suffix at position j is decoded from j by
-counting suffixes, counts that do not depend on the pair.  One dot product
-of r with the packed coordinates gives every r . w_s at once.  Each block
-carries a per-coordinate bound, bound[i] >= max_s |w_s[i]|, the same at
-both widths, and the row's load sum_i |r_i| bound[i] picks the width: the
-32-bit block when the load is below 2^31, else the 64-bit block when it is
-below 2^63.  At width W that keeps each r . w_s + 2^(W-1) inside its
-unsigned W-bit field, and the hits are read from the fields.  The four good
-fields are fixed W/8-byte strings, so a block with none of them in its
-bytes is dismissed without decoding.  A row whose load reaches 2^63 steps
-one more letter and tests the shorter blocks, down to length 0, where
-r . v is taken alone.  A word whose last entry passes is confirmed with 2k
-matrix-vector products, gamma(v) from its last letter back and
-gamma^-1(v) from its first letter on, and the independence test.
+stores only its count; the suffix at position j is decoded from j by counting
+suffixes, counts that do not depend on the pair.  One dot product of r with
+the packed coordinates gives every r . w_s at once.  Each block carries a
+per-coordinate bound, bound[i] >= max_s |w_s[i]|, the same at both widths,
+and the row's load sum_i |r_i| bound[i] picks the width: the 32-bit block
+when the load is below 2^31, else the 64-bit block when it is below 2^63.
+At width W that keeps each r . w_s + 2^(W-1) inside its unsigned W-bit
+field, and the hits are read from the fields.  The four good fields are
+fixed W/8-byte strings, so a block with none of them in its bytes is
+dismissed without decoding.  A row whose load reaches 2^63 steps one more
+letter and tests the shorter blocks, down to length 0, where r . v is taken
+alone.  A word whose last entry passes is confirmed with 2k O(n) steps,
+gamma(v) from its last letter back and gamma^-1(v) from its first letter
+on, and the independence test.
 
 The block of length k that follows a letter x holds y s for each letter y
 allowed after x and each s in the block of length k - 1 that follows y, so
 it is three runs joined in letter order.  Each run L_y (block k - 1 after
-y) is built once per length and width, packed: L_y applied to the block's
-n packed columns, with bound |L_y| times the block's bound, |L_y| taken
-entrywise.  Joining signed packings is exact whatever the fields' sizes: a
-run goes in shifted up by W bits per suffix before it, and the joined
-bound is the runs' coordinate-wise max.  The bound at length 0 is |v|.  So
-every length stays packed at both widths, however large its entries.
+y) is built once per length and width, packed: L_y's column step
+(words.LETTER_STEPS) applied to the block's n packed columns, and the same
+step on |column| applied to the block's bound, which gives |L_y| times it,
+|L_y| taken entrywise.  Joining signed packings is exact whatever the
+fields' sizes: a run goes in shifted up by W bits per suffix before it, and
+the joined bound is the runs' coordinate-wise max.  The bound at length 0
+is |v|.  So every length stays packed at both widths, however large its
+entries.
 
 Pruning rules.  T = A^-1 B fixes e_1 .. e_{n-1}, so T = I + v e_n^T with
 Tv = v (v_n = 0 as f and g are monic), e_n^T T = e_n^T and Tx = x + x_n v.
@@ -81,9 +83,10 @@ from itertools import product
 from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
-from .linalg import Matrix, Vector, linearly_independent, transpose
+from .linalg import Vector, linearly_independent
 from .pairs import QualifiedPair, gcd_obstruction
 from .words import A, A_INV, B, B_INV, LETTER_NAMES, Word, inverse_letter, word_images
+from .words import LETTER_ROW_STEPS, LETTER_STEPS
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -192,24 +195,6 @@ class SearchOutcome:
 # -- engine internals ---------------------------------------------------------
 
 
-def _row_plan(mat: Matrix):
-    """How to form r L entry by entry: copy r[i] where column j of L is e_i,
-    otherwise take the dot product with that column's nonzeros."""
-    plan = []
-    for col in zip(*mat):
-        nz = tuple((i, c) for i, c in enumerate(col) if c)
-        plan.append(nz[0][0] if len(nz) == 1 and nz[0][1] == 1 else nz)
-    return tuple(plan)
-
-
-def _apply(plan, x):
-    """The entries of a plan's product, taken from x (ints or packed ints)."""
-    return tuple([
-        x[item] if type(item) is int else sum(c * x[i] for i, c in item)
-        for item in plan
-    ])
-
-
 def _close_hits(hits) -> list[tuple[int, ...]]:
     """Every passing word of the minimal length, in canonical order, from the
     passing words tested: a final A may become B and a first A^-1 may
@@ -285,18 +270,13 @@ class _Block:
 
 
 class _Engine:
-    """Shared state for one search: each letter's row plan, and the suffix
+    """Shared state for one search: each letter's column, and the suffix
     blocks and the runs they are joined from, at each width, built on first
     use."""
 
     def __init__(self, gen: GeneratorPair, v: Vector):
         self.v = v
-        self.mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
-        self.plans = tuple(_row_plan(m) for m in self.mats)
-        self.vec_plans = tuple(_row_plan(transpose(m)) for m in self.mats)  # L w, row by row
-        self.bound_plans = tuple(  # |L| b, row by row
-            _row_plan(transpose([list(map(abs, r)) for r in m])) for m in self.mats
-        )
+        self.columns = gen.columns
         self.root = (0,) * (gen.degree - 1) + (1,)
         # by (length, state, width) and (length, first state, width); a block
         # of length k >= 1 depends only on the state's letter, and so does a
@@ -305,18 +285,19 @@ class _Engine:
         self.runs: dict[tuple[int, int, int], _Block] = {}
 
     def _step(self, row, letter: int):
-        return _apply(self.plans[letter], row)
+        return LETTER_ROW_STEPS[letter](self.columns[letter], row)
 
     def _run(self, k: int, y: int, width: int) -> _Block:
         """The suffixes of length k that start in the state y: L_y applied
         to the n packed columns of block (k - 1, y), with bound |L_y| times
-        that block's bound."""
+        that block's bound, the same step on |column|."""
         key = (k, _LETTER[y] if k > 1 else y, width)
         if key not in self.runs:
             part, letter = self.block(k - 1, y, width), _LETTER[y]
+            step, column = LETTER_STEPS[letter], self.columns[letter]
             self.runs[key] = _Block(
-                part.count, _apply(self.vec_plans[letter], part.columns),
-                _apply(self.bound_plans[letter], part.bound), width,
+                part.count, step(column, part.columns),
+                step(tuple(map(abs, column)), part.bound), width,
             )
         return self.runs[key]
 
@@ -352,7 +333,7 @@ class _Engine:
         return None
 
     def _confirm(self, word: tuple[int, ...], hits: list[tuple[int, ...]]) -> None:
-        if linearly_independent((self.v, *word_images(self.mats, self.v, word))):
+        if linearly_independent((self.v, *word_images(self.columns, self.v, word))):
             hits.append(word)
 
     def scan(self, row, last: int, remaining: int, path: list[int],
@@ -444,7 +425,7 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
             else:
                 engine.scan(engine.root, _ROOT_LAST, depth, [], hits, cfg.all_at_min_depth)
             if hits:
-                gamma_v, gamma_inv_v = word_images(engine.mats, v, hits[0])
+                gamma_v, gamma_inv_v = word_images(engine.columns, v, hits[0])
                 return SearchOutcome(
                     status=FOUND,
                     max_depth=cfg.max_depth,

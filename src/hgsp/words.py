@@ -8,8 +8,9 @@ exponents, as in "(A^2B)^-1", are also accepted on input so that witness
 words quoted from tables paste straight in.  Words that are not reduced
 are rejected rather than silently cancelled, and so is any text that
 would expand to more than MAX_WORD_LENGTH letters or nests groups deeper
-than MAX_NESTING.  A word acts on vectors through word_images, one
-matrix-vector product per letter; the library never forms its matrix.
+than MAX_NESTING.  A word acts on vectors through word_images and on rows
+through word_row_images, one O(n) step per letter on the four columns of
+a hgroup.GeneratorPair; the library never forms its matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .linalg import Vector, mat_vec
+from .linalg import Vector, companion_row_step, companion_step, inverse_row_step, inverse_step
 
 A, B, A_INV, B_INV = 0, 1, 2, 3
 LETTER_NAMES = ("A", "B", "A^-1", "B^-1")
@@ -28,6 +29,11 @@ MAX_WORD_LENGTH = 1000
 #: Deepest nesting of parenthesized groups the parser accepts; the parser
 #: recurses once per level.
 MAX_NESTING = 50
+
+
+#: By letter code, the steps x -> L x and r -> r^T L on L's column.
+LETTER_STEPS = (companion_step, companion_step, inverse_step, inverse_step)
+LETTER_ROW_STEPS = (companion_row_step, companion_row_step, inverse_row_step, inverse_row_step)
 
 
 def inverse_letter(code: int) -> int:
@@ -167,12 +173,22 @@ def _parse_sequence(text: str, pos: int, depth: int) -> tuple[list[int], int]:
     return letters, pos
 
 
-def word_images(mats, x: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
-    """gamma(x) and gamma^-1(x) for gamma the word's left-to-right product
-    of mats[letter], one matrix-vector product per letter each."""
+def word_images(columns, x: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
+    """gamma x and gamma^-1 x for gamma the word's left-to-right product of
+    its letters, one step per letter each; columns are the generators'."""
+    return _images(LETTER_STEPS, columns, x, letters[::-1])
+
+
+def word_row_images(columns, r: Vector, letters: tuple[int, ...]) -> tuple[Vector, Vector]:
+    """r^T gamma and r^T gamma^-1, as word_images for rows."""
+    return _images(LETTER_ROW_STEPS, columns, r, letters)
+
+
+def _images(steps, columns, x: Vector, order) -> tuple[Vector, Vector]:
+    """x moved by the letters in order, and by their inverses in reverse."""
     gx = gix = x
-    for y in reversed(letters):
-        gx = mat_vec(mats[y], gx)
-    for y in letters:
-        gix = mat_vec(mats[inverse_letter(y)], gix)
+    for y in order:
+        gx = steps[y](columns[y], gx)
+    for y in map(inverse_letter, reversed(order)):
+        gix = steps[y](columns[y], gix)
     return gx, gix

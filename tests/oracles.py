@@ -31,11 +31,12 @@ pair of factorizations, kept when it is its own orbit minimum and passes
 ``make_pair``.  The library walks each class once instead.
 
 ``companion_matrix_entries`` and ``companion_inverse_entries`` write the
-companion matrix and its inverse entry by entry; the library reads their
-first n - 1 columns from cached shift rows instead.
+companion matrix and its inverse entry by entry; the library keeps one
+column of each and acts with it in O(n) instead.  ``letter_matrix`` is
+the dense matrix of one letter, built from them.
 
-``mat_mul``, ``word_inverse`` and ``coefficient`` are small helpers that
-only the tests need.
+``mat_mul``, ``transpose``, ``word_inverse`` and ``coefficient`` are small
+helpers that only the tests need.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -128,7 +133,9 @@ def word_inverse(word: Word) -> Word:
 
 
 def letter_matrix(gen: GeneratorPair, code: int) -> Matrix:
-    return (gen.a, gen.b, gen.a_inv, gen.b_inv)[code]
+    """The dense matrix of the letter A, B, A^-1 or B^-1 (codes 0 to 3)."""
+    p = (gen.f, gen.g)[code % 2]
+    return companion_matrix_entries(p) if code < 2 else companion_inverse_entries(p)
 
 
 def evaluate_word(word: Word, gen: GeneratorPair) -> Matrix:
@@ -470,7 +477,7 @@ def matrix_certificate(pair: QualifiedPair, word: Word) -> CertificateReport:
     checks["omega_v_last_nonzero"] = omega_v_en != 0
     checks["omega_word_relation"] = form.pairing(w3, v) == -c * omega_v_en
 
-    c1 = mat_mul(gen.a_inv, gen.b)
+    c1 = mat_mul(letter_matrix(gen, 2), gen.b)
     c2 = mat_mul(mat_mul(gamma_inv, c1), gamma)
     c3 = mat_mul(mat_mul(gamma, c1), gamma_inv)
     checks["c1_transvection"] = is_transvection(c1)

@@ -26,7 +26,7 @@ from hgsp.fixtures import (
     witness_rows,
 )
 from hgsp.hgroup import build_generators, invariant_symplectic_form, transvection_vector
-from hgsp.linalg import determinant, mat_vec, transpose
+from hgsp.linalg import determinant, mat_vec
 from hgsp.pairs import canonical_representative, enumerate_qualified_pairs
 from hgsp.search import SearchConfig, gcd_obstruction, search_witness
 from hgsp.words import Word
@@ -35,6 +35,7 @@ from oracles import (
     mat_mul,
     reference_search,
     symmetric_invariant_dimension,
+    transpose,
     unimodular_inverse,
 )
 

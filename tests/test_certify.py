@@ -204,19 +204,22 @@ def test_shape_checks_fail_on_bent_rank_one_data(monkeypatch):
     v = transvection_vector(gen)
     form = invariant_symplectic_form(gen, v)
     n = gen.degree
-    real_images = certify.word_images
+    real = {name: getattr(certify, name) for name in ("word_images", "word_row_images")}
     failed = set()
     for bend in _BENDS:
         vecs = {}
 
-        def images(mats, x, letters):
-            names = ("r2", "r3") if vecs else ("w3", "w2")
-            vecs.update(zip(names, real_images(mats, x, letters)))
-            if bend is not None and bend[0] in names:
-                vecs[bend[0]] = bend[1](v, vecs[bend[0]])
-            return tuple(vecs[name] for name in names)
+        def bent(function, names):
+            def images(columns, x, letters):
+                vecs.update(zip(names, real[function](columns, x, letters)))
+                if bend is not None and bend[0] in names:
+                    vecs[bend[0]] = bend[1](v, vecs[bend[0]])
+                return tuple(vecs[name] for name in names)
 
-        monkeypatch.setattr(certify, "word_images", images)
+            monkeypatch.setattr(certify, function, images)
+
+        bent("word_images", ("w3", "w2"))
+        bent("word_row_images", ("r2", "r3"))
         report = verify_witness(pair, word)
         assert report.radical_dimension_ok and report.basis_ok, bend
         w2, w3, e = vecs["w2"], vecs["w3"], report.e_vector

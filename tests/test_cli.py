@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -553,3 +556,19 @@ def test_enumerate_takes_no_convention(monkeypatch, capsys, convention):
     usage, line = captured.err.splitlines()
     assert usage.startswith("usage:")
     assert line == f"hgsp: error: unrecognized arguments: --convention {convention}"
+
+
+def test_enumerate_ends_quietly_when_stdout_closes_early():
+    # as in `hgsp enumerate --degree 8 | head -1`: the reader takes one of
+    # the 2983 records and closes the pipe while the rest are being written
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hgsp", "enumerate", "--degree", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["degree"] == 8
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141  # 128 + SIGPIPE, as the module docstring documents
+    assert err == b""

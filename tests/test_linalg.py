@@ -12,17 +12,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hgsp.hgroup import GeneratorPair
 from hgsp.linalg import (
     NonUnimodularError,
-    companion_inverse,
     companion_matrix,
+    companion_row_step,
     companion_step,
     determinant,
+    inverse_first_column,
     inverse_row_step,
+    inverse_step,
     linearly_independent,
     mat_vec,
     rank,
-    transpose,
 )
 from hgsp.poly import IntPoly
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     mat_sub,
     nullspace,
     solve_unimodular,
+    transpose,
     unimodular_inverse,
 )
 
@@ -182,11 +185,17 @@ def test_companion_phi9():
 lower_coeffs = st.lists(st.integers(min_value=-20, max_value=20), min_size=0, max_size=9)
 
 
+def _inverse_with_first_column(first):
+    """The matrix with this first column and ones on the superdiagonal."""
+    n = len(first)
+    return tuple((c,) + tuple(int(j == i + 1) for j in range(1, n)) for i, c in enumerate(first))
+
+
 @given(st.sampled_from((1, -1)), lower_coeffs)
 def test_companion_inverse_is_inverse(c0, rest):
     p = IntPoly((c0, *rest, 1))
     a = companion_matrix(p)
-    inv = companion_inverse(p)
+    inv = _inverse_with_first_column(inverse_first_column(p))
     n = p.degree
     assert mat_mul(a, inv) == identity_matrix(n)
     assert mat_mul(inv, a) == identity_matrix(n)
@@ -202,21 +211,27 @@ def unimodular_monics(draw):
 
 @given(unimodular_monics())
 def test_companion_matrices_equal_the_entrywise_oracles(p):
-    a, inv = companion_matrix(p), companion_inverse(p)
+    a, inv = companion_matrix(p), companion_inverse_entries(p)
     assert a == companion_matrix_entries(p)
-    assert inv == companion_inverse_entries(p)
+    assert _inverse_with_first_column(inverse_first_column(p)) == inv
     assert mat_mul(a, inv) == identity_matrix(p.degree)
+
+
+# small entries, and entries past 2^64 like the search's packed fields
+entries = st.one_of(st.integers(-50, 50), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64)))
 
 
 @given(unimodular_monics(), st.data())
 def test_companion_steps_equal_the_dense_products(p, data):
-    """The O(n) steps A x and r^T A^-1 of the invariant form's Krylov solve."""
-    a, inv = companion_matrix(p), companion_inverse(p)
-    vec = st.lists(st.integers(-50, 50), min_size=p.degree, max_size=p.degree).map(tuple)
+    """The four O(n) letter steps A x, A^-1 x, r^T A and r^T A^-1, on the
+    columns a GeneratorPair keeps, against the entrywise dense matrices."""
+    a, inv = companion_matrix_entries(p), companion_inverse_entries(p)
+    vec = st.lists(entries, min_size=p.degree, max_size=p.degree).map(tuple)
     x, r = data.draw(vec), data.draw(vec)
-    last = tuple(row[-1] for row in a)
-    first = tuple(row[0] for row in inv)
+    last, _, first, _ = GeneratorPair(p, p).columns
     assert companion_step(last, x) == mat_vec(a, x)
+    assert inverse_step(first, x) == mat_vec(inv, x)
+    assert companion_row_step(last, r) == mat_vec(transpose(a), r)
     assert inverse_row_step(first, r) == mat_vec(transpose(inv), r)
 
 
@@ -224,7 +239,7 @@ def test_companion_steps_equal_the_dense_products(p, data):
 def test_companion_inverse_rejects_non_unit_constant(c0, rest):
     p = IntPoly((c0, *rest, 1))
     with pytest.raises(NonUnimodularError) as err:
-        companion_inverse(p)
+        inverse_first_column(p)
     assert err.value.determinant == determinant(companion_matrix(p))
 
 

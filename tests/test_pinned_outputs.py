@@ -9,7 +9,10 @@ depth-8 and depth-7 search digests were captured from the engine that cut
 each suffix block out of a per-length level, and the depth-10 digest, whose
 scans step up to five letters before a block, from the engine with
 five-letter blocks joined from per-letter runs; they hold any later rewrite
-of the search to the same outcomes.
+of the search to the same outcomes.  The degree-4 (depth 12) and degree-8
+(depth 6) search digests and the degree-8 certificate digest were captured
+from the engine that stepped each letter through a sparse plan compiled
+from the dense generator matrices.
 """
 
 import hashlib
@@ -17,9 +20,10 @@ import json
 
 import pytest
 
+from hgsp.certify import verify_witness
 from hgsp.cli import main
 from hgsp.pairs import EQUIVALENCE, enumerate_qualified_pairs
-from hgsp.search import SearchConfig, search_witness
+from hgsp.search import FOUND, SearchConfig, search_witness
 
 
 def sha256(text: str) -> str:
@@ -137,3 +141,29 @@ def test_search_outcomes_digest(cfg):
     assert len(pairs) == 247
     outcomes = [search_witness(p, cfg).to_json() for p in pairs]
     assert sha256(json.dumps(outcomes)) == SEARCH_OUTCOMES[cfg]
+
+
+def test_degree_four_search_outcomes_digest():
+    # the 27 degree-4 classes with |lc| >= 3, searched to depth 12
+    pairs = [p for p in enumerate_qualified_pairs(4) if abs(p.lc) >= 3]
+    assert len(pairs) == 27
+    outcomes = [search_witness(p, SearchConfig(max_depth=12)).to_json() for p in pairs]
+    digest = "e8106c8903eeb98e82c801ec207f4de2d0c9a6137abcf67952dad074bc092906"
+    assert sha256(json.dumps(outcomes)) == digest
+
+
+def test_degree_eight_search_outcomes_and_certificates_digest():
+    # the 1747 degree-8 classes with |lc| >= 3 at depth 6, then the
+    # certificate of each of the 746 witnesses found
+    pairs = [p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3]
+    assert len(pairs) == 1747
+    outcomes = [search_witness(p, SearchConfig(max_depth=6)) for p in pairs]
+    digest = "12670f612cde9dd6f56414e191c5472e843a80528a40dc1c7e49defab48dc6c8"
+    assert sha256(json.dumps([o.to_json() for o in outcomes])) == digest
+    certificates = [
+        verify_witness(p, o.word).to_json()
+        for p, o in zip(pairs, outcomes) if o.status == FOUND
+    ]
+    assert len(certificates) == 746
+    digest = "d7f137ea8447400a6ccce531b7f87a756b1b02d177a7ac19f189de2031f0af76"
+    assert sha256(json.dumps(certificates)) == digest

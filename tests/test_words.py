@@ -19,8 +19,9 @@ from hgsp.words import (
     WordSyntaxError,
     inverse_letter,
     word_images,
+    word_row_images,
 )
-from oracles import evaluate_word, identity_matrix, mat_mul, word_inverse
+from oracles import evaluate_word, identity_matrix, mat_mul, transpose, word_inverse
 
 
 def test_letter_codes_and_inverses():
@@ -171,8 +172,10 @@ def test_word_images_are_the_word_matrix_products(word):
     pair = enumerate_qualified_pairs(6, mum_only=True)[3]
     gen = build_generators(pair)
     x = (3, -1, 4, 1, -5, 9)
-    mats = (gen.a, gen.b, gen.a_inv, gen.b_inv)
-    assert word_images(mats, x, word.letters) == (
-        mat_vec(evaluate_word(word, gen), x),
-        mat_vec(evaluate_word(word_inverse(word), gen), x),
+    gamma, gamma_inv = evaluate_word(word, gen), evaluate_word(word_inverse(word), gen)
+    assert word_images(gen.columns, x, word.letters) == (
+        mat_vec(gamma, x), mat_vec(gamma_inv, x)
+    )
+    assert word_row_images(gen.columns, x, word.letters) == (
+        mat_vec(transpose(gamma), x), mat_vec(transpose(gamma_inv), x)
     )
