@@ -13,11 +13,13 @@ lines.  Loading replays the lines in order: each record goes through the
 keep-better merge and each tombstone drops the pair's record so far.  A
 damaged line, such as one that is not UTF-8 or whose fields have the wrong
 type or an unknown kind, is skipped, so a torn last line costs only its
-own record; an append after it starts with a newline.
+own record; an append after it starts with a newline.  A device or FIFO
+path is refused unread.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -98,6 +100,8 @@ class ResultCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
+        if not self.path.is_file():  # a device or FIFO may never end or block
+            raise OSError(errno.EINVAL, "not a regular file", str(self.path))
         with open(self.path, "rb") as handle:
             for line in handle:
                 line = line.strip()
@@ -148,6 +152,9 @@ class ResultCache:
             if size and os.pread(fd, 1, size - 1) != b"\n":
                 line = b"\n" + line  # end a torn last line first
             os.write(fd, line)
+        except OSError as exc:
+            exc.filename = str(self.path)  # a failed read or write names no file
+            raise
         finally:
             os.close(fd)
 

@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hgroup import build_generators, invariant_symplectic_form, transvection_vector
-from .linalg import Matrix, Vector, linearly_independent, mat_vec
+from .linalg import Matrix, Vector, dot, linearly_independent, mat_vec
 from .pairs import QualifiedPair
 from .words import Word, word_images, word_row_images
 
@@ -129,10 +129,6 @@ class CertificateReport:
         return {name: plain(x) for name, x in asdict(self).items()}
 
 
-def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))
-
-
 def _primitive(vec: Sequence[int]) -> tuple[int, Vector]:
     """(k, vec / k) for k the content of vec, signed so vec / k leads positive."""
     k = math.gcd(*vec)
@@ -143,12 +139,12 @@ def _primitive(vec: Sequence[int]) -> tuple[int, Vector]:
 
 def _transvection(u: Vector, r: Vector) -> bool:
     """Whether I + u r^T is a transvection: u, r nonzero and r . u = 0."""
-    return any(u) and any(r) and _dot(r, u) == 0
+    return any(u) and any(r) and dot(r, u) == 0
 
 
 def _scaled_restriction(a: Sequence[int], r: Vector, basis: Sequence[Vector], d: int) -> Matrix:
     """d (I + u r^T)|W in the basis, for u with coordinates a / d in it."""
-    s = [_dot(r, b) for b in basis]
+    s = [dot(r, b) for b in basis]
     return tuple(tuple(d * (i == j) + a[i] * s[j] for j in range(3)) for i in range(3))
 
 
@@ -165,11 +161,11 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
 
     checks: dict[str, Optional[bool]] = dict.fromkeys(CHECK_ORDER)
     checks["last_entry"] = c in (1, -1, 2, -2)
-    checks["independence"] = linearly_independent((w1, w2, w3))
+    checks["independence"] = linearly_independent(w1, w2, w3)
 
     v_omega = tuple([-x for x in mat_vec(form.omega, v)])  # v^T Omega, Omega alternating
     omega_v_en = v_omega[n - 1]
-    omega_w3_v = -_dot(v_omega, w3)
+    omega_w3_v = -dot(v_omega, w3)
     checks["omega_v_prefix_zero"] = not any(v_omega[:-1])
     checks["omega_v_last_nonzero"] = omega_v_en != 0
     checks["omega_word_relation"] = omega_w3_v == -c * omega_v_en
@@ -186,17 +182,17 @@ def verify_witness(pair: QualifiedPair, word: Word) -> CertificateReport:
     if checks["independence"]:
         # G_ij = Omega(w_j, w_i).  An alternating 3x3 Gram matrix has rank 0
         # or 2; when it is nonzero its radical is spanned by (G12, -G02, G01).
-        coeffs = (form.pairing(w3, w2), -omega_w3_v, -_dot(v_omega, w2))
+        coeffs = (form.pairing(w3, w2), -omega_w3_v, -dot(v_omega, w2))
         radical_dim = 1 if any(coeffs) else 3
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:
             k, e_vec = _primitive(
-                tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
+                tuple(dot(coeffs, col) for col in zip(w1, w2, w3))
             )
             d = coeffs[2]  # G01
             checks["basis"] = d != 0
             if checks["basis"]:
-                checks["fixed_e"] = all(_dot(r, e_vec) == 0 for _, r in conjugates)
+                checks["fixed_e"] = all(dot(r, e_vec) == 0 for _, r in conjugates)
                 # d times the coordinates of w1, w2 and w3 in {e, w1, w2}
                 coords = ((0, d, 0), (0, 0, d), (k, -coeffs[0], -coeffs[1]))
                 s1, s2, s3 = (

@@ -16,8 +16,9 @@ totient(m) > MAX_DEGREE, is a usage error caught before anything is
 expanded or factored.
 
 Exit codes: 0 success, 1 domain failure (failed verdict, unqualified
-pair, report mismatch), 2 usage or syntax error or an unusable file, 141
-(128 + SIGPIPE) when stdout's reader closes it early (`hgsp ... | head`).
+pair, report mismatch), 2 usage or syntax error or an unusable file (stdout
+too, or a cache that is not a regular file), 141 (128 + SIGPIPE) when
+stdout's reader closes it early (`hgsp ... | head`).
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .cache import CacheRecord, ResultCache, default_cache_path, record_for
@@ -74,6 +76,8 @@ CSV_COLUMNS = (
     "witness",
     "depth",
 )
+
+STDOUT = "<stdout>"  # the name a failed write to stdout is reported under
 
 #: Largest degree accepted on input: degree 12 enumerates 75,421 classes,
 #: and each step of 2 costs about five times more.
@@ -193,6 +197,22 @@ def _pair_record(pair: QualifiedPair, with_omega: bool = False) -> dict:
     return record
 
 
+@contextmanager
+def _naming(target: str) -> Iterator[None]:
+    """Name target in an OSError that names none, as a failed write's."""
+    try:
+        yield
+    except OSError as exc:
+        exc.filename = exc.filename or target
+        raise
+
+
+def _print(text: str) -> None:
+    """print to stdout, naming it in a failed write."""
+    with _naming(STDOUT):
+        print(text)
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -222,10 +242,11 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     pairs = enumerate_qualified_pairs(args.degree, mum_only=args.mum)
     records = [_pair_record(p, with_omega=args.with_omega) for p in pairs]
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as out:
+        with _naming(args.output), open(args.output, "w", encoding="utf-8", newline="") as out:
             _write_records(records, args.format, out)
     else:
-        _write_records(records, args.format, sys.stdout)
+        with _naming(STDOUT):
+            _write_records(records, args.format, sys.stdout)
     small = sum(1 for p in pairs if abs(p.lc) <= 2)
     print(
         f"total {len(pairs)}, |lc| <= 2: {small}, |lc| >= 3: {len(pairs) - small} "
@@ -239,29 +260,29 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     pair = _resolve_pair(args, parser)
     gen = build_generators(pair)
     v = transvection_vector(gen)
-    print(f"pair_id: {pair.pair_id}")
-    print(f"f: {pair.f_fac.text} = {','.join(str(c) for c in pair.f.coeffs)}")
-    print(f"g: {pair.g_fac.text} = {','.join(str(c) for c in pair.g.coeffs)}")
-    print(f"alpha: {','.join(str(x) for x in pair.alpha)}")
-    print(f"beta: {','.join(str(x) for x in pair.beta)}")
-    print(f"lc: {pair.lc} (|lc| = {abs(pair.lc)})")
-    print(f"v: {','.join(str(x) for x in v)}")
-    print(f"gcd(v): {vector_gcd(v)}")
+    _print(f"pair_id: {pair.pair_id}")
+    _print(f"f: {pair.f_fac.text} = {','.join(str(c) for c in pair.f.coeffs)}")
+    _print(f"g: {pair.g_fac.text} = {','.join(str(c) for c in pair.g.coeffs)}")
+    _print(f"alpha: {','.join(str(x) for x in pair.alpha)}")
+    _print(f"beta: {','.join(str(x) for x in pair.beta)}")
+    _print(f"lc: {pair.lc} (|lc| = {abs(pair.lc)})")
+    _print(f"v: {','.join(str(x) for x in v)}")
+    _print(f"gcd(v): {vector_gcd(v)}")
     try:
         form = invariant_symplectic_form(gen, v)
     except InvariantFormError as exc:
-        print(f"omega: unavailable ({exc})")
+        _print(f"omega: unavailable ({exc})")
     else:
-        print("omega:")
+        _print("omega:")
         for row in form.omega:
-            print("  " + " ".join(f"{x:6d}" for x in row))
+            _print("  " + " ".join(f"{x:6d}" for x in row))
     cls = initial_classification(pair, v)
     if cls.kind == "arithmetic_small_lc":
-        print(f"sv-criterion: arithmetic by small leading coefficient (|lc| = {abs(pair.lc)})")
+        _print(f"sv-criterion: arithmetic by small leading coefficient (|lc| = {abs(pair.lc)})")
     else:
-        print(f"sv-criterion: inapplicable (|lc| = {abs(pair.lc)})")
+        _print(f"sv-criterion: inapplicable (|lc| = {abs(pair.lc)})")
     if cls.kind == "obstructed":
-        print(f"gcd obstruction: no witness word exists (gcd {cls.gcd})")
+        _print(f"gcd obstruction: no witness word exists (gcd {cls.gcd})")
     return 0
 
 
@@ -300,7 +321,7 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             hit = cache.lookup(pair.pair_id, args.max_depth)
             if hit is not None:
                 if _certified(pair, hit):
-                    print(json.dumps({**hit.to_json(), "cached": True}))
+                    _print(json.dumps({**hit.to_json(), "cached": True}))
                     return 0
                 # a record that fails its check must not outrank the rerun
                 cache.discard(pair.pair_id)
@@ -325,7 +346,7 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     data = outcome.to_json()
     data["pair_id"] = pair.pair_id
     data["class"] = cls_kind
-    print(json.dumps(data))
+    _print(json.dumps(data))
     if cache is not None:
         cls = PairClassification(
             kind=cls_kind,
@@ -341,10 +362,10 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _print_certificate(report: CertificateReport) -> None:
-    print(f"pair_id: {report.pair_id}")
-    print(f"word: {report.word}")
-    print(f"c (last entry of gamma(v)): {report.c}")
-    print(f"omega(v, e_n): {report.omega_v_en}")
+    _print(f"pair_id: {report.pair_id}")
+    _print(f"word: {report.word}")
+    _print(f"c (last entry of gamma(v)): {report.c}")
+    _print(f"omega(v, e_n): {report.omega_v_en}")
     for name in CHECK_ORDER:
         flag = getattr(report, name + "_ok")
         if flag is None:
@@ -353,10 +374,10 @@ def _print_certificate(report: CertificateReport) -> None:
             mark = " ok "
         else:
             mark = "FAIL"
-        print(f"  [{mark}] {name}")
-    print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
+        _print(f"  [{mark}] {name}")
+    _print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
     if report.first_failure:
-        print(f"first failure: {report.first_failure}")
+        _print(f"first failure: {report.first_failure}")
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -368,7 +389,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"bad word {shown}: {exc}")
     report = verify_witness(pair, word)
     if args.json:
-        print(json.dumps(report.to_json()))
+        _print(json.dumps(report.to_json()))
     else:
         _print_certificate(report)
     return 0 if report.verdict else 1
@@ -377,9 +398,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     result = build_report()
     if args.json:
-        print(json.dumps(result.to_json()))
+        _print(json.dumps(result.to_json()))
     else:
-        print(result.render())
+        _print(result.render())
     return 0 if result.passed else 1
 
 
@@ -440,16 +461,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args, parser)
-        sys.stdout.flush()  # a closed pipe then shows here, not at exit
+        with _naming(STDOUT):
+            sys.stdout.flush()  # a closed pipe or full disk then shows here, not at exit
         return code
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except BrokenPipeError:  # stop quietly; the flush at exit then writes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except OSError as exc:
-        if exc.filename is None:  # not a file the command opened
+        pipe = isinstance(exc, BrokenPipeError)
+        if pipe or exc.filename == STDOUT:  # so the flush at exit writes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if pipe:  # the reader left: stop quietly
+            return 141
+        if exc.filename is None:  # not a file the command opened or wrote
             raise
         print(f"hgsp: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -12,7 +12,9 @@ Since A^-1 B - I = v e_n^T, every invariant alternating form Omega has
 v^T Omega = mu e_n^T with mu = Omega(v, e_n), hence
 (A^k v)^T Omega = mu e_n^T A^-k and K^T Omega = mu R, with
 K = [v, Av, ..., A^(n-1) v] and R the rows e_n^T A^-k.  When K is
-nonsingular, every such form is a multiple of (K^T)^-1 R.  A sends e_j to
+nonsingular, every such form is a multiple of (K^T)^-1 R, and as
+det R = +-1, |det K det Omega| = |mu|^n: the form is nondegenerate exactly
+when mu != 0, so no determinant is computed.  A sends e_j to
 e_(j+1) for j < n, so A^T Omega A = Omega gives
 Omega[i+1][j+1] = Omega[i][j]: Omega is Toeplitz, Omega[i][j] = t_(j-i),
 and alternation makes t_(-k) = -t_k.  Its first column (-t_0, ..., -t_(n-1))
@@ -27,7 +29,7 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .linalg import Matrix, Vector, companion_matrix, companion_step, determinant, mat_vec
+from .linalg import Matrix, Vector, companion_matrix, companion_step, dot, mat_vec
 from .linalg import inverse_first_column, inverse_row_step, inverse_step, solve_scaled
 from .pairs import QualifiedPair
 from .poly import IntPoly
@@ -84,10 +86,7 @@ class SymplecticForm:
     degree: int
 
     def pairing(self, x: Vector, y: Vector) -> int:
-        return sum(
-            xi * sum(wij * yj for wij, yj in zip(row, y))
-            for xi, row in zip(x, self.omega)
-        )
+        return dot(x, mat_vec(self.omega, y))
 
 
 def build_generators(pair: QualifiedPair) -> GeneratorPair:
@@ -137,23 +136,22 @@ def invariant_symplectic_form(
     K is nonsingular and R unimodular, so y is never zero.  The result is
     divided by its content and its sign fixed so that Omega(v, e_n) > 0,
     with v defaulting to u.  Raises InvariantFormError when K is singular
-    or a check fails, DegenerateFormError when the form or its pairing of
-    v with e_n is degenerate.
+    or a check fails, DegenerateFormError when mu = Omega(u, e_n), and with
+    it det Omega, or Omega(v, e_n) is zero.
     """
     n = gen.degree
     last_a, last_b, first_a, _ = gen.columns
     u = transvection_vector(gen)
     krylov = [u]
     row = (0,) * (n - 1) + (1,)
-    rhs = [(row[0],)]
+    rhs = [row[0]]
     for _ in range(n - 1):
         krylov.append(companion_step(last_a, krylov[-1]))
         row = inverse_row_step(first_a, row)
-        rhs.append((row[0],))
-    det, ys = solve_scaled(krylov, rhs)
+        rhs.append(row[0])
+    det, y = solve_scaled(krylov, rhs)
     if det == 0:
         raise InvariantFormError("transvection vector is not cyclic for A")
-    y = ys[0]
     if y[0] != 0:
         raise InvariantFormError("Krylov solution is not alternating")
     content = gcd(*y)
@@ -163,12 +161,10 @@ def invariant_symplectic_form(
     omega = tuple(neg[i:0:-1] + t[: n - i] for i in range(n))
     if not preserves_form(omega, (last_a, last_b)):
         raise InvariantFormError("Krylov solution is not invariant")
-    if determinant(omega) == 0:
-        raise DegenerateFormError()
-    if v is None:
-        v = u
-    v_en = sum(v[i] * omega[i][n - 1] for i in range(n))
-    if v_en == 0:
+    last = t[::-1]  # Omega[i][n-1] = t_(n-1-i), so Omega(x, e_n) = x . last
+    mu = dot(u, last)
+    v_en = mu if v is None else dot(v, last)
+    if mu == 0 or v_en == 0:
         raise DegenerateFormError()
     if v_en < 0:
         omega = tuple(tuple(-x for x in row) for row in omega)

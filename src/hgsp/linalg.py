@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the integers.
 
 Matrices are tuples of row tuples and vectors are plain tuples, so every
-value is hashable and safe to share across worker processes.  Rank,
-determinant and solving all run one routine, Bareiss fraction-free
-elimination on integer rows; solving finishes with an exact integer back
-substitution, so no rational number is ever formed.  A companion matrix
-A sends e_j to e_(j+1) for j < n - 1, so A is fixed by its last column and
-A^-1 by its first, and four O(n) steps act with them on ints of any size:
-A x, r^T A, A^-1 x and r^T A^-1.
+value is hashable and safe to share across worker processes.  The one
+system the library solves is square (the Krylov system of the invariant
+form): solve_scaled runs Bareiss fraction-free elimination on it and an
+exact integer back substitution, so no rational number is ever formed.
+Independence of three vectors is their Gram determinant, in closed form.
+A companion matrix A sends e_j to e_(j+1) for j < n - 1, so A is fixed by
+its last column and A^-1 by its first, and four O(n) steps act with them
+on ints of any size: A x, r^T A, A^-1 x and r^T A^-1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ class NonUnimodularError(ValueError):
     def __init__(self, determinant: int):
         self.determinant = determinant
         super().__init__(f"matrix is not unimodular (determinant {determinant})")
+
+
+def dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -93,115 +98,48 @@ def _companion_degree(p: IntPoly) -> int:
     return p.degree
 
 
-# -- fraction-free elimination ----------------------------------------------
+# -- independence and solving -------------------------------------------------
 
 
-def _bareiss_echelon(rows: Sequence[Sequence[int]], ncols: int):
-    """Forward eliminate; return (echelon rows, pivot columns, swap parity).
-
-    The one-step Bareiss update keeps every intermediate entry an integer
-    minor of the input, so all the divisions below are exact.
-    """
-    work = [list(r) for r in rows]
-    for r in work:
-        if len(r) != ncols:
-            raise ValueError("ragged constraint rows")
-    pivot_cols: list[int] = []
-    rank = 0
-    prev = 1
-    swaps = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != rank:
-            work[rank], work[sel] = work[sel], work[rank]
-            swaps += 1
-        piv_row = work[rank]
-        piv = piv_row[c]
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            t = row[c]
-            if t:
-                for j in range(c + 1, ncols):
-                    row[j] = (piv * row[j] - t * piv_row[j]) // prev
-            elif prev != 1 or piv != 1:
-                for j in range(c + 1, ncols):
-                    if row[j]:
-                        row[j] = piv * row[j] // prev
-            row[c] = 0
-        pivot_cols.append(c)
-        prev = piv
-        rank += 1
-        if rank == len(work):
-            break
-    return work[:rank], pivot_cols, swaps
-
-
-def rank(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    return len(_bareiss_echelon(rows, ncols)[1])
-
-
-def linearly_independent(vectors: Sequence[Sequence[int]]) -> bool:
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return True
-    if len({len(v) for v in vectors}) != 1:
+def linearly_independent(x: Vector, y: Vector, z: Vector) -> bool:
+    """Whether x, y, z are independent: their Gram determinant, by
+    Cauchy-Binet the sum of the squares of the 3 x 3 minors, is nonzero."""
+    if not len(x) == len(y) == len(z):
         raise ValueError("vectors of unequal length")
-    return rank(vectors) == len(vectors)
+    xx, xy, xz = dot(x, x), dot(x, y), dot(x, z)
+    yy, yz, zz = dot(y, y), dot(y, z), dot(z, z)
+    return xx * (yy * zz - yz * yz) - xy * (xy * zz - yz * xz) + xz * (xy * yz - yy * xz) != 0
 
 
-def determinant(a: Matrix) -> int:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    ech, pivots, swaps = _bareiss_echelon(a, n)
-    if len(pivots) < n:
-        return 0
-    d = ech[n - 1][pivots[n - 1]]
-    return -d if swaps % 2 else d
+def solve_scaled(a: Matrix, y: Vector) -> tuple[int, Vector]:
+    """Solve a x = y for square a without leaving the integers.
 
-
-# -- solving -------------------------------------------------------------------
-
-
-def solve_scaled(a: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[Vector]]:
-    """Solve a x = y for every column y of rhs without leaving the integers.
-
-    Returns (det a, xs) where each x in xs is det(a) times the solution, an
-    integer vector by Cramer's rule; for singular a it returns (0, []).  One
-    Bareiss pass triangularizes [a | rhs]; the back substitution then solves
-    U x = det(a) y', where every division is exact because its quotient is an
-    entry of the integer vector x.
+    Returns (det a, det(a) x), an integer vector by Cramer's rule, or
+    (0, ()) for singular a.  One Bareiss pass triangularizes [a | y]: the
+    one-step update keeps every entry an integer minor of the input, so
+    its divisions are exact, and a column with no pivot left makes a
+    singular.  The back substitution then solves U x' = det(a) y', y' the
+    eliminated right side, for x' = det(a) x; every division is exact
+    because its quotient is an entry of the integer vector x'.
     """
     n = len(a)
-    width = n + len(rhs[0])
-    ech, pivots, swaps = _bareiss_echelon(
-        [tuple(row) + tuple(y) for row, y in zip(a, rhs)], width
-    )
-    if pivots[:n] != list(range(n)):
-        return 0, []
-    det = -ech[n - 1][n - 1] if swaps % 2 else ech[n - 1][n - 1]
-    xs = []
-    for k in range(n, width):
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = ech[i]
-            s = det * row[k]
-            for j in range(i + 1, n):
-                s -= row[j] * x[j]
-            x[i] = s // row[i]
-        xs.append(tuple(x))
-    return det, xs
-
+    work = [list(row) + [yi] for row, yi in zip(a, y)]
+    prev, sign = 1, 1
+    for c in range(n):
+        sel = next((i for i in range(c, n) if work[i][c]), None)
+        if sel is None:
+            return 0, ()
+        if sel != c:
+            work[c], work[sel], sign = work[sel], work[c], -sign
+        piv_row, piv = work[c], work[c][c]
+        for row in work[c + 1 :]:
+            t = row[c]
+            for j in range(c + 1, n + 1):
+                row[j] = (piv * row[j] - t * piv_row[j]) // prev
+        prev = piv
+    det = sign * prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = work[i]
+        x[i] = (det * row[n] - dot(row[i + 1 : n], x[i + 1 :])) // row[i]
+    return det, tuple(x)

@@ -333,7 +333,7 @@ class _Engine:
         return None
 
     def _confirm(self, word: tuple[int, ...], hits: list[tuple[int, ...]]) -> None:
-        if linearly_independent((self.v, *word_images(self.columns, self.v, word))):
+        if linearly_independent(self.v, *word_images(self.columns, self.v, word)):
             hits.append(word)
 
     def scan(self, row, last: int, remaining: int, path: list[int],

@@ -15,9 +15,14 @@ generic inverse.  ``reference_search`` is a plain recursive first-hit
 searcher on full matrix products, used to cross-check existence and
 depth bounds.
 
-``solve_unimodular`` and ``unimodular_inverse`` solve with a generic
-unimodular matrix through ``hgsp.linalg.solve_scaled``; the library only
-ever inverts companion matrices, in closed form.
+``_bareiss_echelon`` is general rectangular Bareiss elimination, and
+``rank``, ``determinant`` and ``nullspace`` read off it.  The library
+solves only one square system (``hgsp.linalg.solve_scaled``), tells
+nondegeneracy from one pairing and independence from a Gram determinant;
+the searches and the certificate here test independence by ``rank``
+instead.  ``solve_unimodular`` and ``unimodular_inverse`` solve with a
+generic unimodular matrix through ``solve_scaled``, one column at a time;
+the library only ever inverts companion matrices, in closed form.
 
 ``matrix_certificate`` is the witness certificate
 (``hgsp.certify.verify_witness``) computed on full n x n products: gamma and
@@ -47,23 +52,14 @@ from math import gcd
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from hgsp.certify import CHECK_ORDER, CertificateReport, RatMatrix, _dot, _primitive
+from hgsp.certify import CHECK_ORDER, CertificateReport, RatMatrix, _primitive
 from hgsp.hgroup import (
     GeneratorPair,
     build_generators,
     invariant_symplectic_form,
     transvection_vector,
 )
-from hgsp.linalg import (
-    Matrix,
-    NonUnimodularError,
-    Vector,
-    _bareiss_echelon,
-    linearly_independent,
-    mat_vec,
-    rank,
-    solve_scaled,
-)
+from hgsp.linalg import Matrix, NonUnimodularError, Vector, dot, mat_vec, solve_scaled
 from hgsp.pairs import (
     NotQualifiedError,
     QualifiedPair,
@@ -177,25 +173,100 @@ def all_ordered_pairs_census(degree: int, *, mum_only: bool = False) -> list[Qua
     return reps
 
 
+# -- fraction-free elimination -------------------------------------------------
+
+
+def _bareiss_echelon(rows: Sequence[Sequence[int]], ncols: int):
+    """Forward eliminate; return (echelon rows, pivot columns, swap parity).
+
+    The one-step Bareiss update keeps every intermediate entry an integer
+    minor of the input, so all the divisions below are exact.
+    """
+    work = [list(r) for r in rows]
+    for r in work:
+        if len(r) != ncols:
+            raise ValueError("ragged constraint rows")
+    pivot_cols: list[int] = []
+    rank = 0
+    prev = 1
+    swaps = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(rank, len(work)):
+            if work[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != rank:
+            work[rank], work[sel] = work[sel], work[rank]
+            swaps += 1
+        piv_row = work[rank]
+        piv = piv_row[c]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            t = row[c]
+            if t:
+                for j in range(c + 1, ncols):
+                    row[j] = (piv * row[j] - t * piv_row[j]) // prev
+            elif prev != 1 or piv != 1:
+                for j in range(c + 1, ncols):
+                    if row[j]:
+                        row[j] = piv * row[j] // prev
+            row[c] = 0
+        pivot_cols.append(c)
+        prev = piv
+        rank += 1
+        if rank == len(work):
+            break
+    return work[:rank], pivot_cols, swaps
+
+
+def rank(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return 0
+    if ncols is None:
+        ncols = len(rows[0])
+    return len(_bareiss_echelon(rows, ncols)[1])
+
+
+def determinant(a: Matrix) -> int:
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    ech, pivots, swaps = _bareiss_echelon(a, n)
+    if len(pivots) < n:
+        return 0
+    d = ech[n - 1][pivots[n - 1]]
+    return -d if swaps % 2 else d
+
+
 # -- unimodular solves --------------------------------------------------------
 
 
 def solve_unimodular(a: Matrix, b: Vector) -> Vector:
     """Integer solution of a x = b; raises NonUnimodularError when it is not integral."""
-    det, xs = solve_scaled(a, [(y,) for y in b])
+    det, x = solve_scaled(a, b)
     if det == 0:
         raise ValueError("singular system")
-    if any(x % det for x in xs[0]):
+    if any(xi % det for xi in x):
         raise NonUnimodularError(det)
-    return tuple(x // det for x in xs[0])
+    return tuple(xi // det for xi in x)
 
 
 def unimodular_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det, cols = solve_scaled(a, identity_matrix(len(a)))
-    if det not in (1, -1):
-        raise NonUnimodularError(det)
-    return tuple(tuple(det * x for x in row) for row in zip(*cols))
+    """Exact inverse of an integer matrix with determinant +-1, one column
+    at a time."""
+    cols = []
+    for e in identity_matrix(len(a)):
+        det, x = solve_scaled(a, e)
+        if det not in (1, -1):
+            raise NonUnimodularError(det)
+        cols.append(tuple(det * xi for xi in x))
+    return transpose(cols)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -364,9 +435,9 @@ def canonical_search(
         for word in words:
             m = evaluate_word(word, gen)
             mv = mat_vec(m, v)
-            if mv[-1] in (1, -1, 2, -2) and linearly_independent(
+            if mv[-1] in (1, -1, 2, -2) and rank(
                 (v, mv, mat_vec(unimodular_inverse(m), v))
-            ):
+            ) == 3:
                 hits.append(word)
         if hits:
             return hits[0], tuple(per_depth), tuple(hits)
@@ -400,7 +471,7 @@ def reference_search(pair: QualifiedPair, max_depth: int) -> ReferenceResult:
         if mv[n - 1] not in (1, -1, 2, -2):
             return False
         miv = mat_vec(unimodular_inverse(m), v)
-        return linearly_independent((miv, v, mv))
+        return rank((miv, v, mv)) == 3
 
     def walk(m: Matrix, path: list[int], last: Optional[int]):
         if passes(m):
@@ -437,12 +508,15 @@ def _scaled_restrictions(
     None.  d is 0 exactly when the basis is dependent.
     """
     images = [mat_vec(m, b) for m in maps for b in basis]
-    gram = tuple(tuple(_dot(x, y) for y in basis) for x in basis)
-    d, xs = solve_scaled(gram, [[_dot(b, y) for y in images] for b in basis])
-    if d == 0:
-        return 0, [None] * len(maps)
+    gram = tuple(tuple(dot(x, y) for y in basis) for x in basis)
+    xs = []
+    for y in images:
+        d, x = solve_scaled(gram, tuple(dot(b, y) for b in basis))
+        if d == 0:
+            return 0, [None] * len(maps)
+        xs.append(x)
     inside = [
-        all(_dot(x, col) == d * yi for col, yi in zip(zip(*basis), y))
+        all(dot(x, col) == d * yi for col, yi in zip(zip(*basis), y))
         for x, y in zip(xs, images)
     ]
     k = len(basis)
@@ -467,7 +541,7 @@ def matrix_certificate(pair: QualifiedPair, word: Word) -> CertificateReport:
 
     checks: dict[str, Optional[bool]] = dict.fromkeys(CHECK_ORDER)
     checks["last_entry"] = c in (1, -1, 2, -2)
-    checks["independence"] = linearly_independent((w1, w2, w3))
+    checks["independence"] = rank((w1, w2, w3)) == 3
 
     unit = lambda j: tuple(1 if i == j else 0 for i in range(n))
     omega_v_en = form.pairing(v, unit(n - 1))
@@ -501,7 +575,7 @@ def matrix_certificate(pair: QualifiedPair, word: Word) -> CertificateReport:
         checks["radical_dimension"] = radical_dim == 1
         if checks["radical_dimension"]:
             _, e_vec = _primitive(
-                tuple(_dot(coeffs, col) for col in zip(w1, w2, w3))
+                tuple(dot(coeffs, col) for col in zip(w1, w2, w3))
             )
             d, scaled = _scaled_restrictions((e_vec, w1, w2), (c1, c2, c3))
             checks["basis"] = d != 0

@@ -26,11 +26,12 @@ from hgsp.fixtures import (
     witness_rows,
 )
 from hgsp.hgroup import build_generators, invariant_symplectic_form, transvection_vector
-from hgsp.linalg import determinant, mat_vec
+from hgsp.linalg import mat_vec
 from hgsp.pairs import canonical_representative, enumerate_qualified_pairs
 from hgsp.search import SearchConfig, gcd_obstruction, search_witness
 from hgsp.words import Word
 from oracles import (
+    determinant,
     invariant_alternating_space,
     mat_mul,
     reference_search,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -572,3 +573,83 @@ def test_enumerate_ends_quietly_when_stdout_closes_early():
     proc.stderr.close()
     assert proc.wait() == 141  # 128 + SIGPIPE, as the module docstring documents
     assert err == b""
+
+
+def _hgsp(argv, *, stdout=subprocess.PIPE, unbuffered=False, cwd=None, limits=()):
+    """Run `python -m hgsp argv` under the given resource limits and a
+    timeout; return (exit code, stdout, stderr lines)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def limit():
+        for name, value in limits:
+            resource.setrlimit(getattr(resource, name), (value, value))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hgsp", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        env=env, cwd=cwd, preexec_fn=limit, timeout=30, text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_write_that_fails_exits_2_naming_its_target(unbuffered):
+    """A file that opens but cannot be written, or a stdout that cannot:
+    one stderr line names the target, whether stdout is buffered or not."""
+    rc, _, err = _hgsp(["enumerate", "--degree", "4", "--output", "/dev/full"], unbuffered=unbuffered)
+    assert (rc, err) == (2, ["hgsp: /dev/full: No space left on device"])
+    argvs = (
+        ["enumerate", "--degree", "4"],
+        ["report"],
+        ["analyze", "--f", "1^6", "--g", "3^2,6"],
+        ["verify", "--f", "1^6", "--g", "3^2,6", "--word", "A^2BA^-1B^4A"],
+        ["search", "--f", "1^6", "--g", "3^2,6", "--max-depth", "2", "--no-cache"],
+    )
+    for argv in argvs:
+        with open("/dev/full", "w") as full:
+            rc, _, err = _hgsp(argv, stdout=full, unbuffered=unbuffered)
+        assert (rc, err) == (2, ["hgsp: <stdout>: No space left on device"]), argv
+
+
+def test_a_cache_store_that_fails_exits_2_naming_the_cache(tmp_path):
+    """The result is printed first; the append then fails (here past a
+    file size limit) and names the cache file."""
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("\n")
+    rc, out, err = _hgsp(
+        ["search", "--f", "1^6", "--g", "3^2,6", "--max-depth", "2", "--cache", str(cache)],
+        limits=[("RLIMIT_FSIZE", 1)],
+    )
+    assert (rc, err) == (2, [f"hgsp: {cache}: File too large"])
+    assert json.loads(out)["status"] == "not_found"
+    assert cache.read_text() == "\n"
+
+
+def _refused_cache(path):
+    """A search with this cache path, capped at 400 MB of address space
+    so that reading it without end fails the test instead of the machine."""
+    rc, out, err = _hgsp(
+        ["search", "--f", "1^6", "--g", "3^2,6", "--max-depth", "2", "--cache", str(path)],
+        limits=[("RLIMIT_AS", 400 * 2**20)],
+    )
+    assert (rc, out, err) == (2, "", [f"hgsp: {path}: not a regular file"])
+
+
+@needs_dev_full
+@pytest.mark.parametrize("device", ["/dev/full", "/dev/zero"])
+def test_search_cache_refuses_a_device(device):
+    _refused_cache(device)
+
+
+def test_search_cache_refuses_a_fifo(tmp_path):
+    """Opening a FIFO with no writer would block: it is refused unopened."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    _refused_cache(fifo)

@@ -17,11 +17,12 @@ from hgsp.hgroup import (
     preserves_form,
     transvection_vector,
 )
-from hgsp.linalg import NonUnimodularError, companion_matrix, determinant, mat_vec, rank
+from hgsp.linalg import NonUnimodularError, companion_matrix, mat_vec
 from hgsp.poly import IntPoly
 from hgsp.pairs import enumerate_qualified_pairs, make_pair
 from oracles import (
     coefficient,
+    determinant,
     identity_matrix,
     invariant_alternating_space,
     is_transvection,
@@ -29,6 +30,7 @@ from oracles import (
     letter_matrix,
     mat_mul,
     mat_sub,
+    rank,
     symmetric_invariant_dimension,
     transpose,
 )
@@ -251,19 +253,23 @@ def test_form_requires_cyclic_transvection_vector():
 def test_krylov_and_form_determinants_are_a_power_of_the_pairing():
     """K^T Omega = lambda R with lambda = Omega(u, e_n) and det R = +-1, so
     |det K det Omega| = |lambda|^n: on a nonsingular K, det Omega != 0
-    follows from lambda != 0."""
-    pairs = enumerate_qualified_pairs(6)
-    assert len(pairs) == 458
-    for pair in pairs:
+    follows from lambda != 0, which is all invariant_symplectic_form checks.
+    Every class of degrees 4 and 6, and a seeded sample of degree 8."""
+    pairs8 = enumerate_qualified_pairs(8)
+    assert len(pairs8) == 2983
+    pairs = enumerate_qualified_pairs(4) + enumerate_qualified_pairs(6)
+    assert len(pairs) == 58 + 458
+    for pair in pairs + random.Random(8).sample(pairs8, 500):
         gen = build_generators(pair)
+        n = gen.degree
         u = transvection_vector(gen)
         krylov = [u]
-        for _ in range(5):
+        for _ in range(n - 1):
             krylov.append(mat_vec(gen.a, krylov[-1]))
         form = invariant_symplectic_form(gen)
-        lam = form.pairing(u, basis_vector(6, 5))
+        lam = form.pairing(u, basis_vector(n, n - 1))
         assert lam > 0
-        assert abs(determinant(krylov) * determinant(form.omega)) == lam**6, pair.pair_id
+        assert abs(determinant(krylov) * determinant(form.omega)) == lam**n, pair.pair_id
 
 
 def _companion_pair(f_coeffs, g_coeffs):
@@ -325,6 +331,20 @@ def forms_and_polynomials(draw):
     coeffs = tuple(draw(st.lists(small, min_size=n, max_size=n))) + (1,)
     t = [0] + draw(st.lists(small, min_size=n - 1, max_size=n - 1))
     return _toeplitz(t), coeffs
+
+
+def test_preserves_form_checks_the_second_column_too():
+    """A census form with A's own last column and B's plus e_1 is refused:
+    B's column follows from A's only for a true companion pair, so the
+    check must read both.  Adding e_1 adds Omega e_1 to Omega c_B, whose
+    entries 1 .. n-1 are -t_1, ..., -t_(n-1), not all zero for Omega != 0."""
+    for pair in enumerate_qualified_pairs(4) + enumerate_qualified_pairs(6):
+        gen = build_generators(pair)
+        omega = invariant_symplectic_form(gen).omega
+        c_a, c_b = gen.columns[:2]
+        assert preserves_form(omega, (c_a, c_b))
+        bent = (c_b[0] + 1,) + c_b[1:]
+        assert not preserves_form(omega, (c_a, bent)), pair.pair_id
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,8 @@
 
 The oracles here use plain Fraction arithmetic (Gaussian elimination,
 cofactor expansion, Faddeev-LeVerrier) so a bug in the fraction-free
-Bareiss code cannot hide behind itself.
+Bareiss code, the library's square solve or the general elimination in
+``oracles``, cannot hide behind itself.
 """
 
 import random
@@ -18,23 +19,24 @@ from hgsp.linalg import (
     companion_matrix,
     companion_row_step,
     companion_step,
-    determinant,
     inverse_first_column,
     inverse_row_step,
     inverse_step,
     linearly_independent,
     mat_vec,
-    rank,
+    solve_scaled,
 )
 from hgsp.poly import IntPoly
 from oracles import (
     companion_inverse_entries,
     companion_matrix_entries,
+    determinant,
     identity_matrix,
     kernel_basis,
     mat_mul,
     mat_sub,
     nullspace,
+    rank,
     solve_unimodular,
     transpose,
     unimodular_inverse,
@@ -267,7 +269,7 @@ def test_companion_characteristic_polynomial(coeffs):
     assert tuple(charpoly_faddeev_leverrier(m)) == p.coeffs
 
 
-# -- determinant and rank ----------------------------------------------------
+# -- determinant and rank (the elimination in oracles) -----------------------
 
 
 def test_determinant_examples():
@@ -300,13 +302,54 @@ def test_rank_edge_cases():
     assert rank(identity_matrix(4)) == 4
 
 
-def test_linearly_independent():
-    assert linearly_independent([])
-    assert linearly_independent([(1, 0), (0, 1)])
-    assert not linearly_independent([(1, 2), (2, 4)])
-    assert not linearly_independent([(1, 0), (0, 1), (1, 1)])
+# -- independence and the square solve --------------------------------------
+
+
+@st.composite
+def triples(draw):
+    """Three vectors of one length: random ones, or a third that is an
+    integer combination of the first two (entries past 2^64 included)."""
+    n = draw(st.integers(1, 8))
+    vec = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    x, y, z = draw(vec), draw(vec), draw(vec)
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        z = tuple(a * xi + b * yi for xi, yi in zip(x, y))
+    return draw(st.permutations((x, y, z)))
+
+
+@given(triples())
+def test_linearly_independent(vectors):
+    """The Gram determinant against the rank from general elimination."""
+    assert linearly_independent(*vectors) == (rank(vectors) == 3)
+
+
+def test_linearly_independent_examples():
+    assert linearly_independent((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert not linearly_independent((1, 0), (0, 1), (1, 1))  # three in the plane
+    assert not linearly_independent((1, 2, 3), (2, 4, 6), (0, 0, 1))
+    assert not linearly_independent((0, 0, 0), (1, 0, 0), (0, 1, 0))
     with pytest.raises(ValueError):
-        linearly_independent([(1, 0), (0, 1, 2)])
+        linearly_independent((1, 0), (0, 1), (0, 1, 2))
+
+
+def test_solve_scaled_against_the_oracles():
+    """(det a, det(a) x) against the cofactor determinant and the rational
+    solution; (0, ()) for singular a."""
+    rng = random.Random(707)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, -3, 3)
+        y = tuple(rng.randint(-6, 6) for _ in range(n))
+        det, x = solve_scaled(a, y)
+        assert det == det_cofactor(a)
+        if det == 0:
+            assert x == ()
+            singular += 1
+        else:
+            assert tuple(Fraction(xi, det) for xi in x) == rational_solve(a, y)
+    assert singular > 10
 
 
 # -- nullspace and kernels ---------------------------------------------------
