@@ -17,8 +17,9 @@ expanded or factored.
 
 Exit codes: 0 success, 1 domain failure (failed verdict, unqualified
 pair, report mismatch), 2 usage or syntax error or an unusable file (stdout
-too, or a cache that is not a regular file), 141 (128 + SIGPIPE) when
-stdout's reader closes it early (`hgsp ... | head`).
+too, or a cache that is not a regular file; a stderr that cannot be
+written exits 2 with nothing said), 141 (128 + SIGPIPE) when stdout's
+reader closes it early (`hgsp ... | head`).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ CSV_COLUMNS = (
     "depth",
 )
 
-STDOUT = "<stdout>"  # the name a failed write to stdout is reported under
+STDOUT, STDERR = "<stdout>", "<stderr>"  # the names a failed write to either goes under
 
 #: Largest degree accepted on input: degree 12 enumerates 75,421 classes,
 #: and each step of 2 costs about five times more.
@@ -207,10 +208,10 @@ def _naming(target: str) -> Iterator[None]:
         raise
 
 
-def _print(text: str) -> None:
-    """print to stdout, naming it in a failed write."""
-    with _naming(STDOUT):
-        print(text)
+def _print(text: str, target: str = STDOUT) -> None:
+    """print to stdout, or to stderr, naming it in a failed write."""
+    with _naming(target):
+        print(text, file=sys.stderr if target == STDERR else sys.stdout)
 
 
 def _csv_cell(value) -> str:
@@ -248,11 +249,8 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         with _naming(STDOUT):
             _write_records(records, args.format, sys.stdout)
     small = sum(1 for p in pairs if abs(p.lc) <= 2)
-    print(
-        f"total {len(pairs)}, |lc| <= 2: {small}, |lc| >= 3: {len(pairs) - small} "
-        f"(degree {args.degree}, convention {EQUIVALENCE})",
-        file=sys.stderr,
-    )
+    _print(f"total {len(pairs)}, |lc| <= 2: {small}, |lc| >= 3: {len(pairs) - small} "
+           f"(degree {args.degree}, convention {EQUIVALENCE})", STDERR)
     return 0
 
 
@@ -334,12 +332,9 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if outcome.status == FOUND:
         report = verify_witness(pair, outcome.word)
         if not report.verdict:
-            print(
-                f"search found {outcome.word}, but its certificate fails at "
-                f"{report.first_failure}",
-                file=sys.stderr,
+            raise DomainError(
+                f"search found {outcome.word}, but its certificate fails at {report.first_failure}"
             )
-            return 1
     cls_kind = {FOUND: "arithmetic_witness", OBSTRUCTED: "obstructed"}.get(
         outcome.status, "unknown"
     )
@@ -460,23 +455,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, parser)
-        with _naming(STDOUT):
-            sys.stdout.flush()  # a closed pipe or full disk then shows here, not at exit
-        return code
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+        try:
+            code = args.func(args, parser)
+            with _naming(STDOUT):
+                sys.stdout.flush()  # a closed pipe or full disk then shows here, not at exit
+            return code
+        except DomainError as exc:
+            _print(str(exc), STDERR)
+            return 1
+        except OSError as exc:
+            if exc.filename == STDERR:
+                raise
+            pipe = isinstance(exc, BrokenPipeError)
+            if pipe or exc.filename == STDOUT:  # so the flush at exit writes to devnull
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if pipe:  # the reader left: stop quietly
+                return 141
+            if exc.filename is None:  # not a file the command opened or wrote
+                raise
+            _print(f"hgsp: {exc.filename}: {exc.strerror}", STDERR)
+            return 2
     except OSError as exc:
-        pipe = isinstance(exc, BrokenPipeError)
-        if pipe or exc.filename == STDOUT:  # so the flush at exit writes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if pipe:  # the reader left: stop quietly
-            return 141
-        if exc.filename is None:  # not a file the command opened or wrote
+        if exc.filename != STDERR:
             raise
-        print(f"hgsp: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+        # no message can say why, so the exit code alone reports the failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        return 141 if isinstance(exc, BrokenPipeError) else 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ A < B < A^-1 < B^-1, so the reported witness is the shortest passing word
 and lexicographically least among those of that length, the per-depth
 node counts are the exact reduced-word counts 4 * 3^(d-1) (words settled,
 not words tested; see below), and the result is identical no matter how
-many worker processes share the tree.
+many worker processes share the deeper levels.
 
 Everything here is exact integer arithmetic.  The last entry of gamma(v) is
 r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root) is
@@ -62,8 +62,9 @@ The suffix rules look up to two letters back, so the scan state is the
 last letter, or a fifth state "A after B^-1": its children are A's, and
 the empty suffix follows neither it nor B.  The suffix counts and the
 length-0 blocks follow from that table, and from length 1 on the block
-after the fifth state is the block after A.  With workers each level
-deeper than 4 is split over the 72 reduced words of length 4 that start
+after the fifth state is the block after A.  With workers, a pool starts
+at the first level of depth _POOL_DEPTH or more that the search reaches and
+splits each such level over the 72 reduced words of length 4 that start
 with neither B^-1 nor A^-1 B, each task stepping its prefix's row from the
 root.  With all_at_min_depth the passing words found are closed under both
 swaps (a final A becomes B, a first A^-1 becomes B^-1); at the minimal
@@ -93,6 +94,7 @@ NOT_FOUND = "not_found"
 OBSTRUCTED = "obstructed"
 
 _PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
+_POOL_DEPTH = 13  # the first level split over workers: below it a pool costs more than it saves
 _BLOCK_DEPTH = 6  # the last letters of every word are tested as one suffix block
 _GOOD_LAST = frozenset((1, -1, 2, -2))
 _WIDTHS = (32, 64)  # bits per suffix in a packed block, narrowest first
@@ -393,8 +395,9 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
     Returns an obstructed outcome without touching the tree when gcd(v) > 2,
     a found outcome with the canonical word (plus every passing word of that
     length when cfg.all_at_min_depth is set), or a not-found outcome after
-    the full tree up to cfg.max_depth has been tested.  At most
-    os.cpu_count() worker processes are started, whatever cfg.workers asks.
+    the full tree up to cfg.max_depth has been tested.  Levels below
+    _POOL_DEPTH run here; from there on, cfg.workers > 1 starts a pool of at
+    most os.cpu_count() processes, so a search that ends sooner starts none.
     """
     if cfg.max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -409,15 +412,15 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
     workers = min(cfg.workers, os.cpu_count() or 1)
     pool = None
     try:
-        if workers > 1 and cfg.max_depth > _PIVOT_DEPTH:
-            from concurrent.futures import ProcessPoolExecutor  # loaded only when used
-
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=(gen, v),
-            )
         for depth in range(1, cfg.max_depth + 1):
             hits: list[tuple[int, ...]] = []
-            if pool is not None and depth > _PIVOT_DEPTH:
+            if workers > 1 and depth >= _POOL_DEPTH:
+                if pool is None:  # the first level deep enough: start the pool
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers, initializer=_worker_init, initargs=(gen, v),
+                    )
                 tasks = ((p, depth, cfg.all_at_min_depth) for p in _PREFIXES)
                 chunk = max(1, len(_PREFIXES) // (4 * workers))
                 for sub_hits in pool.map(_worker_scan, tasks, chunksize=chunk):

@@ -73,18 +73,11 @@ class Word:
         return iter(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return ""
-        parts = []
-        run_letter = self.letters[0]
-        run_len = 1
-        for code in self.letters[1:]:
-            if code == run_letter:
-                run_len += 1
-            else:
-                parts.append(_format_run(run_letter, run_len))
-                run_letter, run_len = code, 1
-        parts.append(_format_run(run_letter, run_len))
+        ls, parts, start = self.letters, [], 0
+        for j in range(1, len(ls) + 1):  # a run of ls[start] ends before j
+            if j == len(ls) or ls[j] != ls[start]:
+                parts.append(_format_run(ls[start], j - start))
+                start = j
         return "".join(parts)
 
     @classmethod

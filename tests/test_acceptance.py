@@ -9,6 +9,7 @@ regressions that change the complexity class, not benchmarking.
 
 import functools
 import logging
+import os
 import random
 import time
 from math import gcd
@@ -218,7 +219,8 @@ def test_criterion_09_transvection_vector_identity():
 
 
 @criterion(10, "worker-determinism")
-def test_criterion_10_worker_determinism():
+def test_criterion_10_worker_determinism(pool_starts):
+    # the pool takes every level from 5 on, so it splits this depth-8 search
     pairs = census()
     rng = random.Random(91125)
     sample = rng.sample(pairs, 10)
@@ -235,3 +237,4 @@ def test_criterion_10_worker_determinism():
         assert len(words) == 1, pair.pair_id
         assert len(nodes) == 1, pair.pair_id
         assert len(per_depth) == 1, pair.pair_id
+    assert bool(pool_starts) == ((os.cpu_count() or 1) > 1)

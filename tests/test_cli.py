@@ -575,7 +575,8 @@ def test_enumerate_ends_quietly_when_stdout_closes_early():
     assert err == b""
 
 
-def _hgsp(argv, *, stdout=subprocess.PIPE, unbuffered=False, cwd=None, limits=()):
+def _hgsp(argv, *, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False,
+          cwd=None, limits=()):
     """Run `python -m hgsp argv` under the given resource limits and a
     timeout; return (exit code, stdout, stderr lines)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -588,11 +589,11 @@ def _hgsp(argv, *, stdout=subprocess.PIPE, unbuffered=False, cwd=None, limits=()
             resource.setrlimit(getattr(resource, name), (value, value))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "hgsp", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        [sys.executable, "-m", "hgsp", *argv], stdout=stdout, stderr=stderr,
         env=env, cwd=cwd, preexec_fn=limit, timeout=30, text=True,
     )
-    assert "Traceback" not in proc.stderr
-    return proc.returncode, proc.stdout, proc.stderr.splitlines()
+    assert "Traceback" not in (proc.stderr or "")
+    return proc.returncode, proc.stdout, (proc.stderr or "").splitlines()
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -616,6 +617,23 @@ def test_a_write_that_fails_exits_2_naming_its_target(unbuffered):
         with open("/dev/full", "w") as full:
             rc, _, err = _hgsp(argv, stdout=full, unbuffered=unbuffered)
         assert (rc, err) == (2, ["hgsp: <stdout>: No space left on device"]), argv
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_stderr_that_cannot_be_written_exits_2(unbuffered):
+    """A failed write to stderr cannot be told there, so exit code 2 alone
+    reports it: after enumerate's records, in place of a domain failure's
+    message, or after a failed --output's."""
+    cases = (
+        (["enumerate", "--degree", "4"], 58),
+        (["analyze", "--f", "1^6", "--g", "1^6"], 0),
+        (["enumerate", "--degree", "4", "--output", "/dev/full"], 0),
+    )
+    for argv, records in cases:
+        with open("/dev/full", "w") as full:
+            rc, out, _ = _hgsp(argv, stderr=full, unbuffered=unbuffered)
+        assert (rc, len(out.splitlines())) == (2, records), argv
 
 
 def test_a_cache_store_that_fails_exits_2_naming_the_cache(tmp_path):

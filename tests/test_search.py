@@ -128,30 +128,60 @@ def test_node_counts_exact_per_depth():
     )
 
 
-def test_worker_counts_do_not_change_results():
+def _pools_for(worker_counts):
+    """max_workers of the pools that searches with these workers start."""
+    return [w for w in (min(w, os.cpu_count() or 1) for w in worker_counts) if w > 1]
+
+
+def test_worker_counts_do_not_change_results(pool_starts):
     pair = table_pair(22)
     outs = [
         search_witness(pair, SearchConfig(max_depth=8, workers=w))
         for w in (1, 2, 4)
     ]
+    assert pool_starts == _pools_for((1, 2, 4))
     words = {str(o.word) for o in outs}
     assert len(words) == 1
     assert len({o.nodes_visited for o in outs}) == 1
     assert len({o.nodes_per_depth for o in outs}) == 1
 
 
-def test_workers_capped_at_cpu_count(monkeypatch):
-    def no_pool(*args, **kwargs):
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("no worker process may start")
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def test_workers_capped_at_cpu_count(monkeypatch, no_pool):
+    # the pool would take levels 5 and up, which the search reaches: only
+    # the cap keeps it out
+    monkeypatch.setattr(search, "_POOL_DEPTH", search._PIVOT_DEPTH + 1)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     pair = table_pair(35)
     one = search_witness(pair, SearchConfig(max_depth=6, workers=1))
     eight = search_witness(pair, SearchConfig(max_depth=6, workers=8))
+    assert len(one.word) >= search._POOL_DEPTH
     assert eight.status == one.status == FOUND
     assert eight.word == one.word
     assert eight.nodes_per_depth == one.nodes_per_depth
+
+
+def test_no_pool_below_the_pool_depth(monkeypatch, no_pool):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    depth = search._POOL_DEPTH - 1
+    out = search_witness(table_pair(2), SearchConfig(max_depth=depth, workers=2))
+    assert out.status == NOT_FOUND
+    assert out.nodes_per_depth[-1] == (depth, 4 * 3 ** (depth - 1))
+
+
+def test_no_pool_when_the_witness_is_shorter_than_the_pool_depth(monkeypatch, no_pool):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    cfg = SearchConfig(max_depth=search._POOL_DEPTH + 1, workers=2)
+    out = search_witness(table_pair(22), cfg)
+    assert out.status == FOUND
+    assert len(out.word) < search._POOL_DEPTH
 
 
 @pytest.mark.parametrize("number,max_depth,status,reached", [
@@ -167,15 +197,27 @@ def test_node_counts_follow_from_the_depth_reached(number, max_depth, status, re
     assert out.nodes_visited == sum(count for _, count in expected)
 
 
-def test_import_does_not_load_the_process_pool():
-    code = (
-        "import sys, hgsp; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
+def _pool_modules_after(code):
+    """The process pool's modules loaded in a fresh interpreter after code."""
+    code += "; import sys; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_the_process_pool():
+    assert _pool_modules_after("import hgsp") == "[]"
+
+
+def test_search_that_ends_before_the_pool_depth_does_not_load_it():
+    code = (
+        "from hgsp import fixtures, search; "
+        "search.os.cpu_count = lambda: 2; "
+        "cfg = search.SearchConfig(max_depth=search._POOL_DEPTH, workers=2); "
+        "assert search.search_witness(fixtures.TABLE_A[21].pair(), cfg).status == 'found'"
+    )
+    assert _pool_modules_after(code) == "[]"
 
 
 def _reduced(letters):
@@ -308,10 +350,10 @@ def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
         assert (every.words_at_depth or ()) == hits, pair.pair_id
 
 
-def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
-    # depths 5 and 6 are past the pivot depth, so two workers split those
-    # levels: each worker's 4-letter prefix meets a 1- or 2-letter block,
-    # where the serial scan tests the whole word as one block
+def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases, pool_starts):
+    # with the pool taking levels 5 and up, two workers split those levels:
+    # each worker's 4-letter prefix meets a 1- or 2-letter block, where the
+    # serial scan tests the whole word as one block
     shallow = next(
         case for case in oracle_cases if case[1][0] is None or len(case[1][0]) == 5
     )
@@ -324,6 +366,7 @@ def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases):
         assert out.word == word
         assert out.nodes_per_depth == per_depth
         assert (out.words_at_depth or ()) == hits
+    assert pool_starts == _pools_for((2, 2, 2))
 
 
 # -- suffix blocks ---------------------------------------------------------------
