@@ -315,7 +315,8 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if path.is_dir() or not next(p for p in path.parents if p.exists()).is_dir():
             parser.error(f"cache path {path} is a directory or lies under a file")
         cache = ResultCache(path)
-        if not args.force:
+        # a record holds one witness, so it cannot answer --all-at-min-depth
+        if not (args.force or args.all_at_min_depth):
             hit = cache.lookup(pair.pair_id, args.max_depth)
             if hit is not None:
                 if _certified(pair, hit):
@@ -323,11 +324,7 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     return 0
                 # a record that fails its check must not outrank the rerun
                 cache.discard(pair.pair_id)
-    cfg = SearchConfig(
-        max_depth=args.max_depth,
-        workers=args.threads,
-        all_at_min_depth=args.all_at_min_depth,
-    )
+    cfg = SearchConfig(max_depth=args.max_depth, all_at_min_depth=args.all_at_min_depth)
     outcome = search_witness(pair, cfg)
     if outcome.status == FOUND:
         report = verify_witness(pair, outcome.word)
@@ -427,11 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="search for a witness word")
     _add_pair_arguments(p_search)
     p_search.add_argument("--max-depth", type=_positive_int, default=9)
-    p_search.add_argument("--threads", type=_positive_int, default=1)
     p_search.add_argument(
         "--all-at-min-depth",
         action="store_true",
-        help="report every passing word of the minimal length",
+        help="report every passing word of the minimal length (searches even on a cache hit)",
     )
     p_search.add_argument("--cache", help="JSONL cache path (default: HGSP_CACHE or ./hgsp-cache.jsonl)")
     p_search.add_argument("--no-cache", action="store_true")

@@ -1,10 +1,10 @@
 """Exact dense linear algebra over the integers.
 
 Matrices are tuples of row tuples and vectors are plain tuples, so every
-value is hashable and safe to share across worker processes.  The one
-system the library solves is square (the Krylov system of the invariant
-form): solve_scaled runs Bareiss fraction-free elimination on it and an
-exact integer back substitution, so no rational number is ever formed.
+value is hashable and immutable.  The one system the library solves is
+square (the Krylov system of the invariant form): solve_scaled runs
+Bareiss fraction-free elimination on it and an exact integer back
+substitution, so no rational number is ever formed.
 Independence of three vectors is their Gram determinant, in closed form.
 A companion matrix A sends e_j to e_(j+1) for j < n - 1, so A is fixed by
 its last column and A^-1 by its first, and four O(n) steps act with them

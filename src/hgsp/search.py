@@ -7,8 +7,8 @@ deepening and settles every level in full, in lexicographic letter order
 A < B < A^-1 < B^-1, so the reported witness is the shortest passing word
 and lexicographically least among those of that length, the per-depth
 node counts are the exact reduced-word counts 4 * 3^(d-1) (words settled,
-not words tested; see below), and the result is identical no matter how
-many worker processes share the deeper levels.
+not words tested; see below).  Every level runs in the calling process;
+to use more cores, search more pairs at once, one process per pair.
 
 Everything here is exact integer arithmetic.  The last entry of gamma(v) is
 r . v for the last row r = e_n^T gamma, so r (n ints, e_n at the root) is
@@ -62,25 +62,19 @@ The suffix rules look up to two letters back, so the scan state is the
 last letter, or a fifth state "A after B^-1": its children are A's, and
 the empty suffix follows neither it nor B.  The suffix counts and the
 length-0 blocks follow from that table, and from length 1 on the block
-after the fifth state is the block after A.  With workers, a pool starts
-at the first level of depth _POOL_DEPTH or more that the search reaches and
-splits each such level over the 72 reduced words of length 4 that start
-with neither B^-1 nor A^-1 B, each task stepping its prefix's row from the
-root.  With all_at_min_depth the passing words found are closed under both
-swaps (a final A becomes B, a first A^-1 becomes B^-1); at the minimal
-depth every swapped word is reduced, since otherwise a word two letters
-shorter would pass.
+after the fifth state is the block after A.  With all_at_min_depth the
+passing words found are closed under both swaps (a final A becomes B, a
+first A^-1 becomes B^-1); at the minimal depth every swapped word is
+reduced, since otherwise a word two letters shorter would pass.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product
+from functools import lru_cache
 from typing import Optional
 
 from .hgroup import GeneratorPair, build_generators, transvection_vector
@@ -93,8 +87,6 @@ FOUND = "found"
 NOT_FOUND = "not_found"
 OBSTRUCTED = "obstructed"
 
-_PIVOT_DEPTH = 4  # workers split every deeper level over the prefixes of this length
-_POOL_DEPTH = 13  # the first level split over workers: below it a pool costs more than it saves
 _BLOCK_DEPTH = 6  # the last letters of every word are tested as one suffix block
 _GOOD_LAST = frozenset((1, -1, 2, -2))
 _WIDTHS = (32, 64)  # bits per suffix in a packed block, narrowest first
@@ -115,14 +107,6 @@ _ALLOWED = tuple(
 )
 # The root is scanned as if it followed a B: neither is followed by B^-1.
 _ROOT_LAST = B
-# The reduced words of length _PIVOT_DEPTH that start with neither B^-1 nor
-# A^-1 B, in lexicographic order: with workers, every deeper level is split
-# over them.
-_PREFIXES = tuple(
-    p for p in product(_ALL_LETTERS, repeat=_PIVOT_DEPTH)
-    if p[0] != B_INV and p[:2] != (A_INV, B)
-    and all(y != inverse_letter(x) for x, y in zip(p, p[1:]))
-)
 
 
 def _field_format(width: int):
@@ -143,6 +127,9 @@ _FIELDS = {width: _field_format(width) for width in _WIDTHS}
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings.  workers must be at least 1 and changes nothing
+    else: every search runs in one process, whatever its value."""
+
     max_depth: int = 9
     workers: int = 1
     all_at_min_depth: bool = False
@@ -370,34 +357,14 @@ class _Engine:
             path.pop()
 
 
-# Worker-side state, installed once per process by the pool initializer.
-_WORKER_ENGINE: Optional[_Engine] = None
-
-
-def _worker_init(gen, v):
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = _Engine(gen, v)
-
-
-def _worker_scan(args):
-    letters, depth, collect_all = args
-    engine = _WORKER_ENGINE
-    hits: list[tuple[int, ...]] = []
-    row = reduce(engine._step, letters, engine.root)
-    last = _A_AFTER_B_INV if letters[-2:] == (B_INV, A) else letters[-1]
-    engine.scan(row, last, depth - _PIVOT_DEPTH, list(letters), hits, collect_all)
-    return hits
-
-
 def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Iterative-deepening search for the canonical witness of a pair.
 
     Returns an obstructed outcome without touching the tree when gcd(v) > 2,
     a found outcome with the canonical word (plus every passing word of that
     length when cfg.all_at_min_depth is set), or a not-found outcome after
-    the full tree up to cfg.max_depth has been tested.  Levels below
-    _POOL_DEPTH run here; from there on, cfg.workers > 1 starts a pool of at
-    most os.cpu_count() processes, so a search that ends sooner starts none.
+    the full tree up to cfg.max_depth has been tested, every level in this
+    process.
     """
     if cfg.max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -409,39 +376,20 @@ def search_witness(pair: QualifiedPair, cfg: SearchConfig = SearchConfig()) -> S
     if g is not None:
         return SearchOutcome(status=OBSTRUCTED, max_depth=cfg.max_depth, gcd=g)
     engine = _Engine(gen, v)
-    workers = min(cfg.workers, os.cpu_count() or 1)
-    pool = None
-    try:
-        for depth in range(1, cfg.max_depth + 1):
-            hits: list[tuple[int, ...]] = []
-            if workers > 1 and depth >= _POOL_DEPTH:
-                if pool is None:  # the first level deep enough: start the pool
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, initializer=_worker_init, initargs=(gen, v),
-                    )
-                tasks = ((p, depth, cfg.all_at_min_depth) for p in _PREFIXES)
-                chunk = max(1, len(_PREFIXES) // (4 * workers))
-                for sub_hits in pool.map(_worker_scan, tasks, chunksize=chunk):
-                    hits.extend(sub_hits)
-            else:
-                engine.scan(engine.root, _ROOT_LAST, depth, [], hits, cfg.all_at_min_depth)
-            if hits:
-                gamma_v, gamma_inv_v = word_images(engine.columns, v, hits[0])
-                return SearchOutcome(
-                    status=FOUND,
-                    max_depth=cfg.max_depth,
-                    word=Word(hits[0]),
-                    gamma_v=gamma_v,
-                    gamma_inv_v=gamma_inv_v,
-                    words_at_depth=(
-                        tuple(Word(h) for h in _close_hits(hits))
-                        if cfg.all_at_min_depth else None
-                    ),
-                )
-        return SearchOutcome(status=NOT_FOUND, max_depth=cfg.max_depth)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    for depth in range(1, cfg.max_depth + 1):
+        hits: list[tuple[int, ...]] = []
+        engine.scan(engine.root, _ROOT_LAST, depth, [], hits, cfg.all_at_min_depth)
+        if hits:
+            gamma_v, gamma_inv_v = word_images(engine.columns, v, hits[0])
+            return SearchOutcome(
+                status=FOUND,
+                max_depth=cfg.max_depth,
+                word=Word(hits[0]),
+                gamma_v=gamma_v,
+                gamma_inv_v=gamma_inv_v,
+                words_at_depth=(
+                    tuple(Word(h) for h in _close_hits(hits))
+                    if cfg.all_at_min_depth else None
+                ),
+            )
+    return SearchOutcome(status=NOT_FOUND, max_depth=cfg.max_depth)

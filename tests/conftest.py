@@ -1,23 +1,20 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
+import multiprocessing.process
+import os
+import subprocess
 
 import pytest
 
-from hgsp import search
-
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """Split every level from the first one past the prefixes over the
-    search's worker pool, and record max_workers for each pool started."""
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
+def no_process(monkeypatch):
+    """Fail the test if it starts a process: a fork, a subprocess or a
+    multiprocessing worker."""
 
-    def spy(*args, max_workers, **kwargs):
-        started.append(max_workers)
-        return real(*args, max_workers=max_workers, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("no process may start")
 
-    monkeypatch.setattr(search, "_POOL_DEPTH", search._PIVOT_DEPTH + 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    return started
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)

@@ -205,7 +205,7 @@ def test_search_obstructed(capsys):
     assert blob["gcd"] == 4
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--max-depth"])
+@pytest.mark.parametrize("flag", ["--max-depth"])
 def test_search_rejects_zero_counts(capsys, flag):
     # argparse rejects the value before any search or process starts
     with pytest.raises(SystemExit) as err:
@@ -215,13 +215,15 @@ def test_search_rejects_zero_counts(capsys, flag):
 
 
 def test_search_budget_exhaustion_exits_one(capsys):
-    """search has no node budget: --node-budget is an unknown option."""
-    with pytest.raises(SystemExit) as err:
-        main(["search", "--f", "1^6", "--g", "2^4,3", "--node-budget", "100", "--no-cache"])
-    assert err.value.code == 2
-    usage, line = capsys.readouterr().err.splitlines()
-    assert usage.startswith("usage:")
-    assert line == "hgsp: error: unrecognized arguments: --node-budget 100"
+    """search has no node budget and runs in one process: --node-budget and
+    --threads are unknown options."""
+    for flag, value in (("--node-budget", "100"), ("--threads", "2")):
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--f", "1^6", "--g", "2^4,3", flag, value, "--no-cache"])
+        assert err.value.code == 2
+        usage, line = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage:")
+        assert line == f"hgsp: error: unrecognized arguments: {flag} {value}"
 
 
 def test_search_cache_round_trip(tmp_path, capsys):
@@ -242,6 +244,49 @@ def test_search_cache_round_trip(tmp_path, capsys):
     rc, out, _ = run(capsys, *argv + ["--force"])
     assert rc == 0
     assert json.loads(out).get("cached") is not True
+
+
+def test_search_all_at_min_depth_skips_the_cache(tmp_path, capsys):
+    # a cached record holds one witness, so it cannot answer for every word
+    argv = ["search", "--f", "1^6", "--g", "3^2,6", "--max-depth", "8",
+            "--cache", str(tmp_path / "cache.jsonl")]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out)["word"] == "B^3AB^3A"
+    rc, out, _ = run(capsys, *argv, "--all-at-min-depth")
+    assert rc == 0
+    blob = json.loads(out)
+    assert blob.get("cached") is not True
+    assert blob["words_at_depth"] == [
+        "B^3AB^3A", "B^3AB^4", "A^-1B^-3A^-1B^-3", "B^-4A^-1B^-3",
+    ]
+
+
+def test_two_searches_share_one_cache_at_once(tmp_path):
+    # one process per pair is how a search uses more cores: each store is
+    # one append, so neither run loses the other's record
+    cache = tmp_path / "cache.jsonl"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    pairs = [("1^6", "3^2,6"), ("1^6", "2^4,3")]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "hgsp", "search", "--f", f, "--g", g,
+             "--max-depth", "10", "--cache", str(cache)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        for f, g in pairs
+    ]
+    outs = [proc.communicate(timeout=60) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    assert [json.loads(out)["status"] for out, _ in outs] == ["found", "not_found"]
+    stored = ResultCache(cache)
+    assert stored.lookup("1^6|3^2,6", 10).witness == "B^3AB^3A"
+    assert stored.lookup("1^6|2^4,3", 10).kind == "unknown"
+    for f, g in pairs:
+        rc, out, err = _hgsp(["search", "--f", f, "--g", g, "--max-depth", "10",
+                              "--cache", str(cache)])
+        assert rc == 0, err
+        assert json.loads(out)["cached"] is True
 
 
 def test_search_cache_does_not_serve_stale_witness(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Witness search engine: outcomes, node counts, workers, reference parity."""
 
-import concurrent.futures
 import os
 import random
 import subprocess
@@ -22,7 +21,6 @@ from hgsp.linalg import mat_vec
 from hgsp.pairs import enumerate_qualified_pairs, make_pair
 from hgsp.search import (
     _BLOCK_DEPTH,
-    _PREFIXES,
     FOUND,
     NOT_FOUND,
     OBSTRUCTED,
@@ -128,60 +126,16 @@ def test_node_counts_exact_per_depth():
     )
 
 
-def _pools_for(worker_counts):
-    """max_workers of the pools that searches with these workers start."""
-    return [w for w in (min(w, os.cpu_count() or 1) for w in worker_counts) if w > 1]
-
-
-def test_worker_counts_do_not_change_results(pool_starts):
+def test_worker_counts_do_not_change_results(no_process):
     pair = table_pair(22)
     outs = [
         search_witness(pair, SearchConfig(max_depth=8, workers=w))
-        for w in (1, 2, 4)
+        for w in (1, 2, 4, 8)
     ]
-    assert pool_starts == _pools_for((1, 2, 4))
-    words = {str(o.word) for o in outs}
-    assert len(words) == 1
+    assert len({o.status for o in outs}) == 1
+    assert len({str(o.word) for o in outs}) == 1
     assert len({o.nodes_visited for o in outs}) == 1
     assert len({o.nodes_per_depth for o in outs}) == 1
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("no worker process may start")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-
-
-def test_workers_capped_at_cpu_count(monkeypatch, no_pool):
-    # the pool would take levels 5 and up, which the search reaches: only
-    # the cap keeps it out
-    monkeypatch.setattr(search, "_POOL_DEPTH", search._PIVOT_DEPTH + 1)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    pair = table_pair(35)
-    one = search_witness(pair, SearchConfig(max_depth=6, workers=1))
-    eight = search_witness(pair, SearchConfig(max_depth=6, workers=8))
-    assert len(one.word) >= search._POOL_DEPTH
-    assert eight.status == one.status == FOUND
-    assert eight.word == one.word
-    assert eight.nodes_per_depth == one.nodes_per_depth
-
-
-def test_no_pool_below_the_pool_depth(monkeypatch, no_pool):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    depth = search._POOL_DEPTH - 1
-    out = search_witness(table_pair(2), SearchConfig(max_depth=depth, workers=2))
-    assert out.status == NOT_FOUND
-    assert out.nodes_per_depth[-1] == (depth, 4 * 3 ** (depth - 1))
-
-
-def test_no_pool_when_the_witness_is_shorter_than_the_pool_depth(monkeypatch, no_pool):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    cfg = SearchConfig(max_depth=search._POOL_DEPTH + 1, workers=2)
-    out = search_witness(table_pair(22), cfg)
-    assert out.status == FOUND
-    assert len(out.word) < search._POOL_DEPTH
 
 
 @pytest.mark.parametrize("number,max_depth,status,reached", [
@@ -210,12 +164,13 @@ def test_import_does_not_load_the_process_pool():
     assert _pool_modules_after("import hgsp") == "[]"
 
 
-def test_search_that_ends_before_the_pool_depth_does_not_load_it():
+def test_deep_search_with_workers_does_not_load_the_process_pool():
+    # depth 13 on two CPUs, with two workers asked for
     code = (
+        "import os; os.cpu_count = lambda: 2; "
         "from hgsp import fixtures, search; "
-        "search.os.cpu_count = lambda: 2; "
-        "cfg = search.SearchConfig(max_depth=search._POOL_DEPTH, workers=2); "
-        "assert search.search_witness(fixtures.TABLE_A[21].pair(), cfg).status == 'found'"
+        "cfg = search.SearchConfig(max_depth=13, workers=2); "
+        "assert search.search_witness(fixtures.TABLE_A[1].pair(), cfg).status == 'not_found'"
     )
     assert _pool_modules_after(code) == "[]"
 
@@ -350,25 +305,6 @@ def test_engine_matches_canonical_oracle_at_depth_6(deep_oracle_cases):
         assert (every.words_at_depth or ()) == hits, pair.pair_id
 
 
-def test_worker_pool_matches_canonical_oracle(oracle_cases, deep_oracle_cases, pool_starts):
-    # with the pool taking levels 5 and up, two workers split those levels:
-    # each worker's 4-letter prefix meets a 1- or 2-letter block, where the
-    # serial scan tests the whole word as one block
-    shallow = next(
-        case for case in oracle_cases if case[1][0] is None or len(case[1][0]) == 5
-    )
-    for depth, (pair, (word, per_depth, hits)) in (
-        (5, shallow), (6, deep_oracle_cases[0]), (6, deep_oracle_cases[1]),
-    ):
-        out = search_witness(
-            pair, SearchConfig(max_depth=depth, workers=2, all_at_min_depth=True)
-        )
-        assert out.word == word
-        assert out.nodes_per_depth == per_depth
-        assert (out.words_at_depth or ()) == hits
-    assert pool_starts == _pools_for((2, 2, 2))
-
-
 # -- suffix blocks ---------------------------------------------------------------
 
 
@@ -476,16 +412,6 @@ def test_blocks_hold_the_reduced_suffixes_in_order():
              default=None) for e in (31, 63)]
         for _, engine in BLOCK_ENGINES
     ] == [[None, None], [None, None], [None, None], [6, None], [1, 4]]
-
-
-def test_worker_prefixes_skip_a_first_b_inverse():
-    # and a first A^-1 B: such words pass only when a word two letters
-    # shorter does
-    assert list(_PREFIXES) == [
-        s for s in product(range(4), repeat=4)
-        if _reduced(s) and s[0] != B_INV and s[:2] != (A_INV, B)
-    ]
-    assert len(_PREFIXES) == 108 - 27 - 9
 
 
 def test_scan_tests_exactly_the_words_not_pruned(monkeypatch):
