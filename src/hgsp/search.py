@@ -17,21 +17,21 @@ the letter's column (words.LETTER_ROW_STEPS), as every letter is a shift
 but for that column.  The last 6 letters of every word (all of a shorter
 one) are tested as a suffix block: the at most 486 suffixes s that may
 follow the prefix, in lexicographic order, with each coordinate of
-w_s = L_s v packed into one big int at 32 or 64 bits per suffix.  A block
-stores only its count; the suffix at position j is decoded from j by counting
+w_s = L_s v packed into one big int at W bits per suffix.  A block stores
+only its count; the suffix at position j is decoded from j by counting
 suffixes, counts that do not depend on the pair.  One dot product of r with
 the packed coordinates gives every r . w_s at once.  Each block carries a
-per-coordinate bound, bound[i] >= max_s |w_s[i]|, the same at both widths,
-and the row's load sum_i |r_i| bound[i] picks the width: the 32-bit block
-when the load is below 2^31, else the 64-bit block when it is below 2^63.
-At width W that keeps each r . w_s + 2^(W-1) inside its unsigned W-bit
-field, and the hits are read from the fields.  The four good fields are
-fixed W/8-byte strings, so a block with none of them in its bytes is
-dismissed without decoding.  A row whose load reaches 2^63 steps one more
-letter and tests the shorter blocks, down to length 0, where r . v is taken
-alone.  A word whose last entry passes is confirmed with 2k O(n) steps,
-gamma(v) from its last letter back and gamma^-1(v) from its first letter
-on, and the independence test.
+per-coordinate bound, bound[i] >= max_s |w_s[i]|, the same at every width,
+and the row's load sum_i |r_i| bound[i] picks the width: the fewest whole
+bytes, at least four, with load + 2 < 2^(W-1).  Each field then holds
+r . w_s + 2^(W-1) + 2 inside [0, 2^W), with no carry, and any load gets a
+wide enough field, so every row is tested by its block.  The four good
+fields are 2^(W-1) + {0, 1, 3, 4}: little-endian, they share their top
+W/8 - 1 bytes, 00 .. 00 80.  A block without that pattern in its bytes is
+dismissed by one scan; otherwise the four good fields are looked up, and a
+match counts only at a field boundary.  A word whose last entry passes is
+confirmed with 2k O(n) steps, gamma(v) from its last letter back and
+gamma^-1(v) from its first letter on, and the independence test.
 
 The block of length k that follows a letter x holds y s for each letter y
 allowed after x and each s in the block of length k - 1 that follows y, so
@@ -42,7 +42,7 @@ step on |column| applied to the block's bound, which gives |L_y| times it,
 |L_y| taken entrywise.  Joining signed packings is exact whatever the
 fields' sizes: a run goes in shifted up by W bits per suffix before it, and
 the joined bound is the runs' coordinate-wise max.  The bound at length 0
-is |v|.  So every length stays packed at both widths, however large its
+is |v|.  So every length stays packed at every width, however large its
 entries.
 
 Pruning rules.  T = A^-1 B fixes e_1 .. e_{n-1}, so T = I + v e_n^T with
@@ -71,8 +71,6 @@ reduced, since otherwise a word two letters shorter would pass.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -89,7 +87,6 @@ OBSTRUCTED = "obstructed"
 
 _BLOCK_DEPTH = 6  # the last letters of every word are tested as one suffix block
 _GOOD_LAST = frozenset((1, -1, 2, -2))
-_WIDTHS = (32, 64)  # bits per suffix in a packed block, narrowest first
 _ALL_LETTERS = (0, 1, 2, 3)
 # A scan state is the last letter of the word so far, or _A_AFTER_B_INV: an A
 # whose letter before is B^-1.  A tested word may not end in B or in B^-1 A.
@@ -107,22 +104,6 @@ _ALLOWED = tuple(
 )
 # The root is scanned as if it followed a B: neither is followed by B^-1.
 _ROOT_LAST = B
-
-
-def _field_format(width: int):
-    """The packed test's constants at one field width: the bias 2^(width-1)
-    of a field, the four good fields and their bytes, and the array typecode
-    that reads a field."""
-    typecode = {32: "I", 64: "Q"}[width]
-    if array(typecode).itemsize * 8 != width:
-        raise ImportError(f"array typecode {typecode!r} is not {width} bits here")
-    half = 1 << (width - 1)
-    good = sorted(half + t for t in _GOOD_LAST)
-    return (half, frozenset(good),
-            tuple(x.to_bytes(width // 8, sys.byteorder) for x in good), typecode)
-
-
-_FIELDS = {width: _field_format(width) for width in _WIDTHS}
 
 
 @dataclass(frozen=True)
@@ -195,10 +176,20 @@ def _close_hits(hits) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _bias(count: int, width: int) -> int:
-    """sum_j 2^(width-1) 2^(width j) over count fields."""
-    half, _, _, typecode = _FIELDS[width]
-    return int.from_bytes(array(typecode, [half]).tobytes() * count, sys.byteorder)
+def _packing(count: int, width: int) -> tuple[int, tuple[bytes, ...], bytes]:
+    """A block's bias, sum_j (2^(width-1) + 2) 2^(width j) over count fields;
+    the good fields, 2^(width-1) + 2 + (-2, -1, 1, 2), as little-endian bytes;
+    and the bytes all four share, all but the lowest."""
+    zero = (1 << (width - 1)) + 2  # the field of r . w_s = 0
+    good = tuple((zero + t).to_bytes(width // 8, "little") for t in sorted(_GOOD_LAST))
+    bias = int.from_bytes(zero.to_bytes(width // 8, "little") * count, "little")
+    return bias, good, good[0][1:]
+
+
+def _width(load: int) -> int:
+    """The narrowest field for a row of this load: the fewest whole bytes,
+    at least four, with load + 2 < 2^(width-1)."""
+    return max(32, ((load + 2).bit_length() + 8) // 8 * 8)
 
 
 @lru_cache(maxsize=None)
@@ -225,13 +216,16 @@ def _suffix(k: int, last: int, j: int) -> tuple[int, ...]:
 
 class _Block:
     """The w_s = L_s v for the suffixes s of one length that may follow one
-    state, in lexicographic order, packed at width bits per suffix: with j
-    the position of s, columns[i] = sum_s w_s[i] 2^(width j), a signed
-    packing, and bound[i] >= max_s |w_s[i]|, the same at every width.
+    state, in lexicographic order, packed at width bits per suffix (a whole
+    number of bytes): with j the position of s, columns[i] =
+    sum_s w_s[i] 2^(width j), a signed packing, and bound[i] >= max_s |w_s[i]|,
+    the same at every width.
 
-    If the load sum_i |r_i| bound[i] is below 2^(width-1) then every
-    |r . w_s| < 2^(width-1), so field j of sum_i r_i columns[i] + bias is
-    exactly r . w_s + 2^(width-1), with no carry.
+    If the load sum_i |r_i| bound[i] satisfies load + 2 < 2^(width-1) then
+    field j of sum_i r_i columns[i] + bias is exactly r . w_s + 2^(width-1) + 2,
+    in [0, 2^width), with no carry.  `good` holds the fields of
+    r . w_s = -2, -1, 1, 2 as little-endian bytes, and `top` the bytes they
+    share.
     """
 
     def __init__(self, count: int, columns, bound, width: int):
@@ -239,23 +233,30 @@ class _Block:
         self.columns = columns
         self.bound = bound
         self.width = width
-        self.bias = _bias(count, width)
+        self.bias, self.good, self.top = _packing(count, width)
 
     def load(self, row) -> int:
-        """sum_i |r_i| bound[i]: the packed test is exact when this is below
-        2^(width-1)."""
+        """sum_i |r_i| bound[i]: the packed test is exact when load + 2 is
+        below 2^(width-1)."""
         return sum(map(operator.mul, map(abs, row), self.bound))
 
     def candidates(self, row) -> list[int]:
         """Positions of the suffixes s with r . w_s in {+-1, +-2}, ascending,
-        for a row whose load is below 2^(width-1)."""
-        _, fields, good, typecode = _FIELDS[self.width]
+        for a row with load + 2 below 2^(width-1)."""
+        size = self.width // 8
         packed = sum(map(operator.mul, row, self.columns), self.bias)
-        data = packed.to_bytes(self.width // 8 * self.count, sys.byteorder)
-        # a pattern may straddle two fields, so only a match decodes them
-        if not (good[0] in data or good[1] in data or good[2] in data or good[3] in data):
+        data = packed.to_bytes(size * self.count, "little")
+        if self.top not in data:
             return []
-        return [j for j, x in enumerate(memoryview(data).cast(typecode)) if x in fields]
+        # a pattern may straddle two fields: only a match at a field boundary counts
+        hits = []
+        for field in self.good:
+            i = data.find(field)
+            while i >= 0:
+                if i % size == 0:
+                    hits.append(i // size)
+                i = data.find(field, i + 1)
+        return sorted(hits)
 
 
 class _Engine:
@@ -290,7 +291,7 @@ class _Engine:
             )
         return self.runs[key]
 
-    def block(self, k: int, last: int, width: int = _WIDTHS[0]) -> _Block:
+    def block(self, k: int, last: int, width: int = 32) -> _Block:
         """The runs of length k whose first state may follow the state last,
         joined in letter order: each run's signed packing moves up width bits
         for every suffix in the runs before it, and the bound is the runs'
@@ -312,14 +313,10 @@ class _Engine:
             self.blocks[key] = block
         return self.blocks[key]
 
-    def fitting(self, k: int, last: int, row) -> Optional[_Block]:
+    def fitting(self, k: int, last: int, row) -> _Block:
         """Block (k, last) at the narrowest width whose packed test is exact
-        for row, or None if the row's load reaches 2^63."""
-        load = self.block(k, last).load(row)
-        for width in _WIDTHS:
-            if load < 1 << (width - 1):
-                return self.block(k, last, width)
-        return None
+        for row."""
+        return self.block(k, last, _width(self.block(k, last).load(row)))
 
     def _confirm(self, word: tuple[int, ...], hits: list[tuple[int, ...]]) -> None:
         if linearly_independent(self.v, *word_images(self.columns, self.v, word)):
@@ -328,25 +325,18 @@ class _Engine:
     def scan(self, row, last: int, remaining: int, path: list[int],
              hits: list[tuple[int, ...]], collect_all: bool) -> None:
         """Test every extension of `path` (whose last row is `row` and whose
-        state is `last`) by exactly `remaining` letters that ends in neither
-        B nor B^-1 A; append passing words to hits.  A row too large for its
-        block's packed test steps one more letter and tests the shorter
-        blocks; at length 0 it is tested alone.  Where the scan steps a
+        state is `last`) by exactly `remaining` >= 1 letters that ends in
+        neither B nor B^-1 A; append passing words to hits.  The last
+        _BLOCK_DEPTH letters are one block test.  Where the scan steps a
         first A^-1 from the root it skips the B after it."""
         if hits and not collect_all:
             return
-        if remaining == 0:
-            if _MAY_END[last] and sum(map(operator.mul, row, self.v)) in _GOOD_LAST:
-                self._confirm(tuple(path), hits)
-            return
         if remaining <= _BLOCK_DEPTH:
-            block = self.fitting(remaining, last, row)
-            if block is not None:
-                for j in block.candidates(row):
-                    self._confirm(tuple(path) + _suffix(remaining, last, j), hits)
-                    if hits and not collect_all:
-                        break
-                return
+            for j in self.fitting(remaining, last, row).candidates(row):
+                self._confirm(tuple(path) + _suffix(remaining, last, j), hits)
+                if hits and not collect_all:
+                    break
+            return
         children = _ALLOWED[last]
         if last == A_INV and len(path) == 1:
             children = children[1:]  # the first child, B, would start the word with A^-1 B

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from array import array
 from functools import lru_cache, reduce
 from itertools import product
 
@@ -25,11 +24,11 @@ from hgsp.search import (
     NOT_FOUND,
     OBSTRUCTED,
     SearchConfig,
-    _MAY_END,
     _Block,
     _Engine,
     _size,
     _suffix,
+    _width,
     gcd_obstruction,
     search_witness,
 )
@@ -312,8 +311,7 @@ def _block_engines():
     """Engines for rows 22 and 2, a degree-8 class and 1^12|2^12.  The
     entries of 1^12|2^12 stay below 2^35 to length 6, and pass 2^31 at
     length 6; with v scaled by 2^40 they pass 2^31 from length 1 on and
-    2^63 from length 4 on, so its blocks cannot be unpacked and most rows
-    do not fit them."""
+    2^63 from length 4 on, so its rows take fields of 72 bits and more."""
     degree8 = next(p for p in enumerate_qualified_pairs(8) if abs(p.lc) >= 3)
     degree12 = make_pair(CycloFactorization.parse("1^12"), CycloFactorization.parse("2^12"))
     engines = []
@@ -330,7 +328,7 @@ BLOCK_ENGINES = _block_engines()
 # scans the blocks that follow B: neither is followed by B^-1
 STATES = range(5)
 BLOCK_KEYS = [(k, last) for k in range(1, _BLOCK_DEPTH + 1) for last in STATES]
-WIDTHS = (32, 64)
+WIDTHS = (32, 40, 64, 88)  # field widths, each a whole number of bytes
 
 
 def _pruned_end(word):
@@ -364,13 +362,15 @@ def _plain_vectors(index, k, last):
 
 
 def _unpack(block):
-    """w_s for each suffix of a block whose entries are below 2^(width-1),
-    read from the fields of its columns."""
-    size = block.width // 8 * block.count
-    typecode = {32: "I", 64: "Q"}[block.width]
-    coords = [array(typecode, (c + block.bias).to_bytes(size, sys.byteorder))
-              for c in block.columns]
-    return [tuple(x - 2 ** (block.width - 1) for x in w) for w in zip(*coords)]
+    """w_s for each suffix of a block whose entries e have e + 2 below
+    2^(width-1), read from the biased fields of its columns."""
+    size = block.width // 8
+    coords = [(c + block.bias).to_bytes(size * block.count, "little") for c in block.columns]
+    return [
+        tuple(int.from_bytes(data[j * size:(j + 1) * size], "little") - 2 ** (block.width - 1) - 2
+              for data in coords)
+        for j in range(block.count)
+    ]
 
 
 def test_suffix_positions_list_the_reduced_suffixes_in_order():
@@ -386,6 +386,7 @@ def test_suffix_positions_list_the_reduced_suffixes_in_order():
 
 
 def test_blocks_hold_the_reduced_suffixes_in_order():
+    too_wide = set()
     for index, (_, engine) in enumerate(BLOCK_ENGINES):
         for width in WIDTHS:
             for k, last in [(0, last) for last in STATES] + BLOCK_KEYS:
@@ -398,13 +399,18 @@ def test_blocks_hold_the_reduced_suffixes_in_order():
                     sum(w[i] << width * j for j, w in enumerate(vectors))
                     for i in range(len(engine.v))
                 ], (k, last, width)
-                # one bound, the same at both widths
+                # one bound, the same at every width
                 assert block.bound == engine.block(k, last).bound
                 assert all(
                     abs(w[i]) <= block.bound[i] for w in vectors for i in range(len(w))
                 ), (k, last)
-                if max(block.bound) < 2 ** (width - 1):
+                if max(block.bound) + 2 < 2 ** (width - 1):
                     assert _unpack(block) == vectors, (k, last, width)
+                else:
+                    too_wide.add((index, width))
+    # the widths at which some block's entries do not fit a field: 32 bits for
+    # 1^12|2^12, every width to 64 bits for the scaled engine
+    assert too_wide == {(3, 32)} | {(4, width) for width in (32, 40, 64)}
     # the first length whose entries reach 2^31 and 2^63: only 1^12|2^12 passes
     # 2^31, at length 6, and only its scaled engine passes 2^63
     assert [
@@ -415,27 +421,24 @@ def test_blocks_hold_the_reduced_suffixes_in_order():
 
 
 def test_scan_tests_exactly_the_words_not_pruned(monkeypatch):
-    # with every block refused, each word reaches length 0 alone; the words
-    # tested there are the reduced words that start with neither B^-1 nor
-    # A^-1 B and end in neither B nor B^-1 A
-    scan, tested = _Engine.scan, []
-
-    def recording(engine, row, last, remaining, path, hits, collect_all):
-        if remaining == 0 and _MAY_END[last]:
-            tested.append(tuple(path))
-        scan(engine, row, last, remaining, path, hits, collect_all)
-
-    monkeypatch.setattr(_Block, "load", lambda block, row: 2 ** 63)
-    monkeypatch.setattr(_Engine, "scan", recording)
+    # with every block reporting every position, each word tested reaches the
+    # confirm step; those are the reduced words that start with neither B^-1
+    # nor A^-1 B and end in neither B nor B^-1 A, in lexicographic order, but
+    # for the A^-1 B words in a block that follows the root or a first A^-1
+    # (depth 7 or less), as the scan steps no B after a first A^-1 there
+    tested = []
+    monkeypatch.setattr(_Block, "candidates", lambda block, row: range(block.count))
+    monkeypatch.setattr(_Engine, "_confirm", lambda engine, word, hits: tested.append(word))
     _, engine = BLOCK_ENGINES[1]
-    for depth in range(1, 8):
+    for depth in range(1, _BLOCK_DEPTH + 3):
         tested.clear()
         engine.scan(engine.root, search._ROOT_LAST, depth, [], [], True)
         assert tested == [
             s for s in product(range(4), repeat=depth)
-            if _reduced(s) and s[0] != B_INV and s[:2] != (A_INV, B) and not _pruned_end(s)
+            if _reduced(s) and s[0] != B_INV and not _pruned_end(s)
+            and (depth <= _BLOCK_DEPTH + 1 or s[:2] != (A_INV, B))
         ], depth
-    assert len(tested) == 1296  # 44% of the 2916 reduced words of length 7
+    assert len(tested) == 3888  # 44% of the 8748 reduced words of length 8
 
 
 @st.composite
@@ -507,9 +510,10 @@ def block_rows(draw, kind):
     """An engine, a block key, the block at a drawn width, its plain vectors
     and a row.  "hit": small entries moved so r . w_j = t for a drawn suffix
     j and target t; "wide": entries of up to 80 bits, so most rows do not
-    fit, moved the same way half the time; "edge": one entry set so that
-    the load sum_i |r_i| bound[i] is just under, at or just over 2^31 or
-    2^63."""
+    fit the drawn width, moved the same way half the time; "edge": one
+    entry set so that the load sum_i |r_i| bound[i] plus 2 is just under, at
+    or just over 2^31, 2^39 or 2^63, the bounds of the 32-, 40- and 64-bit
+    fields."""
     index = draw(st.integers(0, len(BLOCK_ENGINES) - 1))
     _, engine = BLOCK_ENGINES[index]
     k, last = draw(st.sampled_from(BLOCK_KEYS))
@@ -519,7 +523,7 @@ def block_rows(draw, kind):
     row = [scale * x for x in draw(st.lists(
         st.integers(-255, 255), min_size=len(engine.v), max_size=len(engine.v)))]
     if kind == "edge":
-        limit = draw(st.sampled_from((2 ** 31, 2 ** 63)))
+        limit = draw(st.sampled_from((2 ** 31, 2 ** 39, 2 ** 63))) - 2
         i = draw(st.sampled_from([i for i, b in enumerate(block.bound) if b]))
         rest = sum(abs(r) * b for j, (r, b) in enumerate(zip(row, block.bound)) if j != i)
         row[i] = draw(st.sampled_from((1, -1))) * max(
@@ -541,16 +545,80 @@ def test_packed_block_test_matches_plain_dot_products(kind, data):
     dots = [sum(a * b for a, b in zip(row, w)) for w in vectors]
     hits = [j for j, d in enumerate(dots) if d in (1, -1, 2, -2)]
     load = block.load(row)
-    if load < 2 ** (block.width - 1):
-        # the bound leaves every field room: no dot product reaches 2^(width-1)
-        assert all(abs(d) < 2 ** (block.width - 1) for d in dots)
+    if load + 2 < 2 ** (block.width - 1):
+        # the bound leaves every field room: r . w_s + 2^(width-1) + 2 lies in [0, 2^width)
+        assert all(0 <= d + 2 ** (block.width - 1) + 2 < 2 ** block.width for d in dots)
         assert block.candidates(row) == hits
-    # the scan takes the narrowest width whose packed test is exact, if any
+    # the scan takes the narrowest field, in whole bytes and at least 32 bits,
+    # whose packed test is exact
     fitting = engine.fitting(*key, row)
-    assert (fitting and fitting.width) == (32 if load < 2 ** 31 else 64 if load < 2 ** 63 else None)
-    if fitting is not None:
-        assert fitting is engine.block(*key, fitting.width)
-        assert fitting.candidates(row) == hits
+    width = fitting.width
+    assert width % 8 == 0 and width >= 32 and load + 2 < 2 ** (width - 1)
+    assert width == 32 or load + 2 >= 2 ** (width - 9)
+    assert fitting is engine.block(*key, width)
+    assert fitting.candidates(row) == hits
+
+
+def test_field_width_rule():
+    # the fewest whole bytes, at least four, with load + 2 < 2^(width-1)
+    assert _width(0) == 32
+    for width in range(32, 129, 8):
+        assert _width(2 ** (width - 1) - 3) == width, width
+        assert _width(2 ** (width - 1) - 2) == width + 8, width
+
+
+# raw field bytes that make the shared top bytes 00 .. 00 80 of the good fields,
+# or a whole good field, appear across two fields
+FIELD_BYTES = (0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x7F, 0x80, 0xFF)
+# dot products whose fields share those top bytes, or miss them by one step
+NEAR_MISSES = (-4, -3, -2, -1, 0, 1, 2, 3, 4, 252, 253, 254, 255, 256)
+
+
+@st.composite
+def near_miss_fields(draw):
+    """A width and the dot products of a one-column block with the row (1,):
+    each a near miss of the pre-scan, or a field of drawn raw bytes (so the
+    patterns straddle two fields), with every field inside [0, 2^width)."""
+    width = draw(st.sampled_from((32, 40, 48, 64)))
+    half = 2 ** (width - 1)
+    dots = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            dots.append(draw(st.sampled_from(NEAR_MISSES)))
+        else:
+            raw = bytes(draw(st.lists(st.sampled_from(FIELD_BYTES),
+                                      min_size=width // 8, max_size=width // 8)))
+            dots.append(max(int.from_bytes(raw, "little"), 5) - half - 2)
+    return width, dots
+
+
+def _one_column_block(width, dots):
+    bound = max(map(abs, dots))
+    assert bound + 2 < 2 ** (width - 1)
+    column = sum(d << width * j for j, d in enumerate(dots))
+    return _Block(len(dots), (column,), (bound,), width)
+
+
+@given(fields=near_miss_fields(), sign=st.sampled_from((1, -1)))
+# 00 00 80 at offset 2, across two fields, and again in field 2^31 + 128
+@example(fields=(32, [0x100 - 2 ** 31 - 2, 126, 2]), sign=1)
+# 01 00 00 80 at offset 2: a good pattern across two fields, neither good
+@example(fields=(32, [(1 << 16) - 2 ** 31 - 2, 0x8000 - 2 ** 31 - 2]), sign=1)
+# only near misses: the pre-scan matches, and nothing is a candidate
+@example(fields=(40, [0, 3, -3, 253, 254, -4]), sign=1)
+def test_packed_block_test_at_the_pre_scans_near_misses(fields, sign):
+    width, dots = fields
+    block = _one_column_block(width, dots)
+    hits = [j for j, d in enumerate(dots) if sign * d in (1, -1, 2, -2)]
+    assert block.candidates((sign,)) == hits
+
+
+def test_straddling_good_pattern_is_not_a_candidate():
+    # the bytes of field 2^31 + 1 (01 00 00 80) at offset 2, across two fields
+    block = _one_column_block(32, [(1 << 16) - 2 ** 31 - 2, 0x8000 - 2 ** 31 - 2])
+    packed = block.columns[0] + block.bias
+    assert packed.to_bytes(8, "little")[2:6] == block.good[1]
+    assert block.candidates((1,)) == []
 
 
 def test_packed_block_test_finds_a_witness_under_the_bound():
@@ -567,36 +635,35 @@ def test_packed_block_test_finds_a_witness_under_the_bound():
         assert _suffix(k, last, block.candidates(row)[0]) == word[cut:]
 
 
-def test_rows_that_do_not_fit_are_descended(monkeypatch, oracle_cases, deep_oracle_cases):
-    # the scaled 1^12|2^12 engine: most rows fit neither width, down to
-    # length 0, and no last entry (a multiple of 2^40) can pass
-    fitting, refused = _Engine.fitting, []
+def test_forced_loads_take_wider_fields(monkeypatch, oracle_cases, deep_oracle_cases):
+    # 1^12|2^12 at depth 8 takes 40-bit fields, and the scaled engine 80-bit
+    # ones; no last entry of the scaled engine (a multiple of 2^40) can pass
+    fitting, load, widths = _Engine.fitting, _Block.load, []
 
-    def counting(engine, k, last, row):
+    def recording(engine, k, last, row):
         block = fitting(engine, k, last, row)
-        if block is None:
-            refused.append(k)
+        widths.append(block.width)
         return block
 
-    monkeypatch.setattr(_Engine, "fitting", counting)
-    _, engine = BLOCK_ENGINES[-1]
-    hits = []
-    engine.scan(engine.root, B, 8, [], hits, True)
-    assert hits == [] and len(refused) > 1000
-    assert min(refused) == 1  # a length-1 block: its rows went on to length 0
+    monkeypatch.setattr(_Engine, "fitting", recording)
+    for (_, engine), width in zip(BLOCK_ENGINES[-2:], (40, 80)):
+        widths.clear()
+        hits = []
+        engine.scan(engine.root, B, 8, [], hits, True)
+        assert hits == [] and widths == [width] * 8
     monkeypatch.setattr(_Engine, "fitting", fitting)
-    # a load of exactly 2^31 or 2^63 is refused at that width
-    for edge, width in ((2 ** 31 - 1, 32), (2 ** 31, 64), (2 ** 63 - 1, 64), (2 ** 63, None)):
-        monkeypatch.setattr(_Block, "load", lambda block, row: edge)
-        block = engine.fitting(1, A, engine.root)
-        assert (block and block.width) == width, edge
-    # real rows with both widths refused (each word is tested alone at
-    # length 0), refused on a fixed pattern, or forced onto the 64-bit
-    # packing: the outcome equals the canonical oracle's
-    load = _Block.load
+    # a forced load gets the narrowest whole-byte field with load + 2 < 2^(width-1)
+    _, engine = BLOCK_ENGINES[-1]
+    for forced, width in ((2 ** 31 - 3, 32), (2 ** 31 - 2, 40), (2 ** 63 - 3, 64),
+                          (2 ** 63 - 2, 72), (2 ** 63, 72), (2 ** 100, 104)):
+        monkeypatch.setattr(_Block, "load", lambda block, row: forced)
+        assert engine.fitting(1, A, engine.root).width == width, forced
+    # real rows forced onto 72- or 104-bit fields, onto 104 bits on a fixed
+    # pattern, or onto at least 40 bits: the outcome equals the canonical oracle's
     for forced in (
         lambda block, row: 2 ** 63,
-        lambda block, row: 2 ** 63 if sum(row) % 3 == 0 else load(block, row),
+        lambda block, row: 2 ** 100,
+        lambda block, row: 2 ** 100 if sum(row) % 3 == 0 else load(block, row),
         lambda block, row: max(2 ** 31, load(block, row)),
     ):
         monkeypatch.setattr(_Block, "load", forced)
