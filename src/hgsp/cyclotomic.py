@@ -44,10 +44,10 @@ def cyclotomic_poly(m: int) -> IntPoly:
     """The m-th cyclotomic polynomial, computed by exact division of x^m - 1."""
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = IntPoly.monomial(m) - IntPoly.one()
+    num = IntPoly((-1,) + (0,) * (m - 1) + (1,))
     for d in range(1, m):
         if m % d == 0:
-            num = num.exact_div(cyclotomic_poly(d))
+            num, _ = divmod(num, cyclotomic_poly(d))
     return num
 
 
@@ -63,8 +63,10 @@ def admissible_indices(degree: int) -> tuple[int, ...]:
 class CycloFactorization:
     """A multiset of cyclotomic indices, stored as sorted (index, multiplicity).
 
-    Degree, support, expansion, its exponent gcd and scalar shift are
-    computed once per instance, so callers keep no caches of their own.
+    ``degree``, ``support``, ``expansion`` (the product polynomial), its
+    ``exponent_gcd`` and ``shifted`` (the scalar shift x -> -x) are cached
+    properties, computed once per instance, so callers keep no caches of
+    their own.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -93,20 +95,18 @@ class CycloFactorization:
     def multiplicity(self, m: int) -> int:
         return dict(self.factors).get(m, 0)
 
-    def expand(self) -> IntPoly:
-        return self._expansion
-
     @cached_property
-    def _expansion(self) -> IntPoly:
-        p = IntPoly.one()
+    def expansion(self) -> IntPoly:
+        p = IntPoly((1,))
         for m, k in self.factors:
-            p = p * cyclotomic_poly(m) ** k
+            for _ in range(k):
+                p = p * cyclotomic_poly(m)
         return p
 
     @cached_property
     def exponent_gcd(self) -> int:
         """gcd of the exponents of the expansion's nonzero terms."""
-        return exponent_gcd(self._expansion)
+        return math.gcd(*(e for e, c in enumerate(self.expansion.coeffs) if c))
 
     def parameters(self) -> tuple[Fraction, ...]:
         """Sorted list of a/m over primitive residues a mod m, with multiplicity."""
@@ -115,11 +115,8 @@ class CycloFactorization:
             out.extend(_primitive_residues(m) * k)
         return tuple(sorted(out))
 
-    def scalar_shift(self) -> "CycloFactorization":
-        return self._shifted
-
     @cached_property
-    def _shifted(self) -> "CycloFactorization":
+    def shifted(self) -> "CycloFactorization":
         return CycloFactorization((shifted_index(m), k) for m, k in self.factors)
 
     # -- text form: "3^2,6" means Phi_3^2 * Phi_6 ---------------------------
@@ -162,25 +159,16 @@ def shifted_index(m: int) -> int:
     return m
 
 
-def exponent_gcd(p: IntPoly) -> int:
-    """gcd of the exponents carrying nonzero coefficients (0 for constants)."""
-    g = 0
-    for e, c in enumerate(p.coeffs):
-        if c:
-            g = math.gcd(g, e)
-    return g
-
-
 def factorization_from_poly(p: IntPoly) -> CycloFactorization:
     """Factor a monic polynomial into cyclotomics, or raise NotCyclotomicProduct."""
-    if p.is_zero() or not p.is_monic():
+    if not p.is_monic():
         raise NotCyclotomicProduct("expected a monic polynomial")
     rest = p
     found: list[tuple[int, int]] = []
     for m in admissible_indices(max(p.degree, 1)):
         phi_m = cyclotomic_poly(m)
         k = 0
-        while not rest.is_zero() and rest.degree >= phi_m.degree:
+        while rest.degree >= phi_m.degree:  # rest stays monic
             q, r = divmod(rest, phi_m)
             if not r.is_zero():
                 break
@@ -190,7 +178,7 @@ def factorization_from_poly(p: IntPoly) -> CycloFactorization:
             found.append((m, k))
         if rest.degree == 0:
             break
-    if rest != IntPoly.one():
+    if rest.coeffs != (1,):
         raise NotCyclotomicProduct(f"non-cyclotomic part remains: {rest}")
     return CycloFactorization(found)
 

@@ -83,7 +83,6 @@ class SymplecticForm:
     """The invariant alternating form, primitive integer, Omega(v, e_n) > 0."""
 
     omega: Matrix
-    degree: int
 
     def pairing(self, x: Vector, y: Vector) -> int:
         return dot(x, mat_vec(self.omega, y))
@@ -168,4 +167,4 @@ def invariant_symplectic_form(
         raise DegenerateFormError()
     if v_en < 0:
         omega = tuple(tuple(-x for x in row) for row in omega)
-    return SymplecticForm(omega=omega, degree=n)
+    return SymplecticForm(omega=omega)

@@ -130,7 +130,7 @@ def make_pair(f_fac: CycloFactorization, g_fac: CycloFactorization) -> Qualified
     reasons = qualification_failures(f_fac, g_fac)
     if reasons:
         raise NotQualifiedError(reasons)
-    f, g = f_fac.expand(), g_fac.expand()
+    f, g = f_fac.expansion, g_fac.expansion
     return QualifiedPair(f_fac, g_fac, f, g, degree=f.degree, lc=leading_coeff_diff(f, g))
 
 
@@ -171,7 +171,7 @@ def enumerate_factorizations(degree: int) -> list[CycloFactorization]:
 def _orbit(
     f_fac: CycloFactorization, g_fac: CycloFactorization
 ) -> list[tuple[CycloFactorization, CycloFactorization]]:
-    shifted = (f_fac.scalar_shift(), g_fac.scalar_shift())
+    shifted = (f_fac.shifted, g_fac.shifted)
     return [(f_fac, g_fac), shifted, (g_fac, f_fac), shifted[::-1]]
 
 
@@ -214,7 +214,7 @@ def enumerate_qualified_pairs(degree: int, *, mum_only: bool = False) -> list[Qu
     """
     facs = enumerate_factorizations(degree)
     keys = [fac.factors for fac in facs]
-    shifted = [fac.scalar_shift().factors for fac in facs]
+    shifted = [fac.shifted.factors for fac in facs]
     even = [fac.multiplicity(1) % 2 == 0 for fac in facs]  # constant term 1
     reps: list[QualifiedPair] = []
     for i, f_fac in enumerate(facs):

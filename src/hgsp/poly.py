@@ -3,6 +3,12 @@
 Coefficients are stored ascending from the constant term, so x^2 - 3x + 1
 is ``IntPoly((1, -3, 1))``.  Everything stays in ZZ; there is no floating
 point anywhere in this package.
+
+``IntPoly`` offers what the cyclotomic layer and the generators use: the
+degree, monic and constant-term queries, the product, long division and
+the text form.  Division takes monic divisors only: every divisor the
+package passes is a cyclotomic polynomial, and a monic divisor keeps the
+quotient and remainder in ZZ with no division of coefficients.
 """
 
 from __future__ import annotations
@@ -26,22 +32,6 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * k + (c,))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -56,32 +46,12 @@ class IntPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     @property
-    def leading_coefficient(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+    # -- product and division ----------------------------------------------
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
-            return IntPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -89,43 +59,21 @@ class IntPoly:
                     out[i + j] += a * b
         return IntPoly(out)
 
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntPoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __divmod__(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Long division, only for divisors with leading coefficient +-1.
-
-        That restriction keeps the quotient and remainder inside ZZ, which
-        is all the cyclotomic machinery ever needs.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if divisor.leading_coefficient not in (1, -1):
-            raise ValueError("division requires a divisor with unit leading coefficient")
+        """Long division by a monic divisor; any other raises ValueError."""
+        if not divisor.is_monic():
+            raise ValueError(f"division requires a monic divisor, got {divisor}")
         rem = list(self.coeffs)
         dn = divisor.degree
-        lead = divisor.leading_coefficient
         if len(rem) <= dn:
-            return IntPoly.zero(), self
+            return IntPoly(), self
         quot = [0] * (len(rem) - dn)
         for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dn] * lead  # lead is +-1, so this is exact
-            quot[k] = c
+            c = quot[k] = rem[k + dn]
             if c:
                 for j, d in enumerate(divisor.coeffs):
                     rem[k + j] -= c * d
         return IntPoly(quot), IntPoly(rem)
-
-    def exact_div(self, divisor: "IntPoly") -> "IntPoly":
-        q, r = divmod(self, divisor)
-        if not r.is_zero():
-            raise ValueError(f"inexact division, remainder {r}")
-        return q
 
     # -- text --------------------------------------------------------------
 

@@ -123,6 +123,12 @@ def coefficient(p: IntPoly, k: int) -> int:
     return p.coeffs[k] if k < len(p.coeffs) else 0
 
 
+def poly_sum(p: IntPoly, q: IntPoly, scale: int = 1) -> IntPoly:
+    """p + scale * q, coefficient-wise: sums the library never forms."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return IntPoly(coefficient(p, k) + scale * coefficient(q, k) for k in range(n))
+
+
 def word_inverse(word: Word) -> Word:
     """The inverse word: the letters reversed, each one inverted."""
     return Word(inverse_letter(code) for code in reversed(word.letters))

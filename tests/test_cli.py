@@ -544,7 +544,7 @@ def test_exponent_parameters_are_usage_error(monkeypatch, capsys):
 def test_input_above_max_degree_is_usage_error(monkeypatch, capsys, argv, message):
     # the index is refused before its totient is taken, and nothing is
     # expanded, factored or enumerated before the rejection
-    monkeypatch.setattr(CycloFactorization, "expand", _refuse)
+    monkeypatch.setattr(CycloFactorization, "expansion", property(_refuse))
     for name in ("factorization_from_parameters", "factorization_from_poly",
                  "enumerate_qualified_pairs"):
         monkeypatch.setattr(f"hgsp.cli.{name}", _refuse)

@@ -13,13 +13,13 @@ from hgsp.cyclotomic import (
     NotCyclotomicProduct,
     admissible_indices,
     cyclotomic_poly,
-    exponent_gcd,
     factorization_from_parameters,
     factorization_from_poly,
     parse_parameters,
     shifted_index,
     totient,
 )
+from hgsp.pairs import enumerate_factorizations
 from hgsp.poly import IntPoly
 
 
@@ -46,10 +46,11 @@ def test_cyclotomic_small_cases():
     assert cyclotomic_poly(18).coeffs == (1, 0, 0, -1, 0, 0, 1)
 
 
-@pytest.mark.parametrize("m", list(range(1, 40)))
+@pytest.mark.parametrize("m", list(range(1, 43)))
 def test_cyclotomic_product_identity(m):
-    """prod over divisors d of m of Phi_d equals x^m - 1."""
-    product = IntPoly.one()
+    """prod over divisors d of m of Phi_d equals x^m - 1, for every index
+    admissible up to degree 12 (the largest is 42)."""
+    product = IntPoly((1,))
     for d in range(1, m + 1):
         if m % d == 0:
             product = product * cyclotomic_poly(d)
@@ -98,14 +99,14 @@ def test_factorization_rejects_bad_input():
 
 def test_expand_row_17():
     fac = CycloFactorization(((3, 2), (6, 1)))
-    assert fac.expand().coeffs == (1, 1, 2, 1, 2, 1, 1)
+    assert fac.expansion.coeffs == (1, 1, 2, 1, 2, 1, 1)
     swapped = CycloFactorization(((3, 1), (6, 2)))
-    assert swapped.expand().coeffs == (1, -1, 2, -1, 2, -1, 1)
+    assert swapped.expansion.coeffs == (1, -1, 2, -1, 2, -1, 1)
 
 
 def test_expand_phi1_sixth():
     fac = CycloFactorization(((1, 6),))
-    assert fac.expand().coeffs == (1, -6, 15, -20, 15, -6, 1)
+    assert fac.expansion.coeffs == (1, -6, 15, -20, 15, -6, 1)
 
 
 def test_parameters_ordering_and_one_block():
@@ -149,27 +150,32 @@ def test_index_map_matches_polynomial_shift(m):
     p = cyclotomic_poly(m)
     q = cyclotomic_poly(shifted_index(m))
     negated = IntPoly(tuple(-c if k % 2 else c for k, c in enumerate(p.coeffs)))
-    if negated.leading_coefficient < 0:
+    if negated.coeffs[-1] < 0:
         negated = IntPoly(tuple(-c for c in negated.coeffs))
     assert negated == q
 
 
 def test_scalar_shift_of_factorization():
     fac = CycloFactorization(((1, 4), (6, 1)))
-    assert fac.scalar_shift().factors == ((2, 4), (3, 1))
-    assert fac.scalar_shift().scalar_shift() == fac
+    assert fac.shifted.factors == ((2, 4), (3, 1))
+    assert fac.shifted.shifted == fac
 
 
 def test_exponent_gcd():
-    assert exponent_gcd(cyclotomic_poly(9)) == 3  # x^6 + x^3 + 1
-    assert exponent_gcd(cyclotomic_poly(4)) == 2
-    assert exponent_gcd(cyclotomic_poly(3)) == 1
+    gcd_of = lambda *factors: CycloFactorization(factors).exponent_gcd
+    assert gcd_of((9, 1)) == 3  # x^6 + x^3 + 1
+    assert gcd_of((4, 1)) == 2
+    assert gcd_of((3, 1)) == 1
+    assert gcd_of((4, 1), (12, 1)) == 6  # (x^2 + 1)(x^4 - x^2 + 1) = x^6 + 1
+    assert gcd_of((1, 1), (2, 1)) == 2  # x^2 - 1
 
 
 def test_factorization_from_poly_roundtrip():
-    for factors in (((1, 6),), ((3, 2), (6, 1)), ((2, 4), (3, 1)), ((9, 1),)):
-        fac = CycloFactorization(factors)
-        assert factorization_from_poly(fac.expand()).factors == factors
+    """Every factorization of even degree 2 .. 12 factors back from its expansion."""
+    facs = [fac for n in range(2, 13, 2) for fac in enumerate_factorizations(n)]
+    assert len(facs) == 2336
+    for fac in facs:
+        assert factorization_from_poly(fac.expansion) == fac, fac.text
 
 
 def test_factorization_from_poly_rejects_non_cyclotomic():
@@ -242,14 +248,14 @@ def test_parse_parameters_refuses_exponent_notation(monkeypatch):
     )
 )
 def test_expansion_self_reciprocal_up_to_sign(indices):
-    """expand() is palindromic up to the sign (-1)^(mult of index 1).
+    """The expansion is palindromic up to the sign (-1)^(mult of index 1).
 
     Phi_1 = x - 1 is anti-palindromic and every other cyclotomic is
     palindromic, so the product's coefficient list reverses onto itself
     times (-1)^k with k the multiplicity of index 1.
     """
     fac = CycloFactorization(tuple((m, 1) for m in indices))
-    p = fac.expand()
+    p = fac.expansion
     sign = -1 if fac.multiplicity(1) % 2 else 1
     assert tuple(reversed(p.coeffs)) == tuple(sign * c for c in p.coeffs)
 
@@ -261,4 +267,4 @@ def test_expansion_self_reciprocal_up_to_sign(indices):
 )
 def test_expand_degree_additive(indices):
     fac = CycloFactorization(tuple((m, 1) for m in indices))
-    assert fac.expand().degree == fac.degree == sum(totient(m) for m in indices)
+    assert fac.expansion.degree == fac.degree == sum(totient(m) for m in indices)

@@ -30,6 +30,7 @@ from oracles import (
     letter_matrix,
     mat_mul,
     mat_sub,
+    poly_sum,
     rank,
     symmetric_invariant_dimension,
     transpose,
@@ -93,7 +94,7 @@ def test_transvection_vector_is_f_minus_g_coefficients():
     for pair in enumerate_qualified_pairs(6)[::41]:
         gen = build_generators(pair)
         v = transvection_vector(gen)
-        diff = pair.f - pair.g
+        diff = poly_sum(pair.f, pair.g, -1)
         assert v == tuple(coefficient(diff, i) for i in range(1, 7))
 
 
