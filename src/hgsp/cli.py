@@ -1,9 +1,9 @@
 """Command line front end.
 
 Five subcommands: enumerate (list qualified pairs of a degree), analyze
-(inspect one pair), search (look for a witness word, with a results
-cache), verify (check a certificate for a given word) and report
-(cross-check the census against the embedded tables).
+(inspect one pair), search (look for a witness word; cache.py serves and
+stores the results), verify (check a certificate for a given word) and
+report (cross-check the census against the embedded tables).
 
 Pairs are given in one of three equivalent forms: parameter lists
 (--alpha 0,0,0,0,0,0 --beta 1/3,1/3,2/3,2/3,1/6,5/6), factorization
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
-from .cache import CacheRecord, ResultCache, default_cache_path, record_for
+from .cache import ResultCache, default_cache_path, outcome_record
 from .certify import CHECK_ORDER, CertificateReport, verify_witness
 from .cyclotomic import (
     CycloFactorization,
@@ -53,17 +53,15 @@ from .hgroup import (
 from .pairs import (
     EQUIVALENCE,
     NotQualifiedError,
-    PairClassification,
     QualifiedPair,
     enumerate_qualified_pairs,
-    gcd_obstruction,
     initial_classification,
     make_pair,
     vector_gcd,
 )
 from .poly import parse_coefficients
 from .report import build_report
-from .search import FOUND, OBSTRUCTED, SearchConfig, search_witness
+from .search import FOUND, SearchConfig, search_witness
 from .words import NotReducedError, Word, WordSyntaxError
 
 CSV_COLUMNS = (
@@ -284,27 +282,6 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _certified(pair: QualifiedPair, record: CacheRecord) -> bool:
-    """Whether a cached record may be served: it must be for the pair's
-    degree, a small-lc record needs |lc| <= 2, an obstruction must match
-    gcd(v) and a witness must pass its full certificate again.  An unknown
-    record is trusted as "not found up to its depth"."""
-    if record.degree != pair.degree:
-        return False
-    if record.kind == "unknown":
-        return True
-    if record.kind == "arithmetic_small_lc":
-        return abs(pair.lc) <= 2
-    if record.kind == "obstructed":
-        v = transvection_vector(build_generators(pair))
-        return gcd_obstruction(v) == record.gcd
-    try:
-        word = Word.parse(record.witness or "")
-    except (WordSyntaxError, NotReducedError):
-        return False
-    return verify_witness(pair, word).verdict
-
-
 def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     pair = _resolve_pair(args, parser)
     cache: Optional[ResultCache] = None
@@ -317,13 +294,10 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         cache = ResultCache(path)
         # a record holds one witness, so it cannot answer --all-at-min-depth
         if not (args.force or args.all_at_min_depth):
-            hit = cache.lookup(pair.pair_id, args.max_depth)
+            hit = cache.serve(pair, args.max_depth)
             if hit is not None:
-                if _certified(pair, hit):
-                    _print(json.dumps({**hit.to_json(), "cached": True}))
-                    return 0
-                # a record that fails its check must not outrank the rerun
-                cache.discard(pair.pair_id)
+                _print(json.dumps({**hit.to_json(), "cached": True}))
+                return 0
     cfg = SearchConfig(max_depth=args.max_depth, all_at_min_depth=args.all_at_min_depth)
     outcome = search_witness(pair, cfg)
     if outcome.status == FOUND:
@@ -332,24 +306,10 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             raise DomainError(
                 f"search found {outcome.word}, but its certificate fails at {report.first_failure}"
             )
-    cls_kind = {FOUND: "arithmetic_witness", OBSTRUCTED: "obstructed"}.get(
-        outcome.status, "unknown"
-    )
-    data = outcome.to_json()
-    data["pair_id"] = pair.pair_id
-    data["class"] = cls_kind
-    _print(json.dumps(data))
+    record = outcome_record(pair, outcome)
+    _print(json.dumps({**outcome.to_json(), "pair_id": pair.pair_id, "class": record.kind}))
     if cache is not None:
-        cls = PairClassification(
-            kind=cls_kind,
-            gcd=outcome.gcd,
-            witness=str(outcome.word) if outcome.word else None,
-            witness_length=len(outcome.word) if outcome.word else None,
-            searched_depth=(
-                len(outcome.word) if outcome.status == FOUND else outcome.max_depth
-            ),
-        )
-        cache.store(record_for(pair, cls, nodes=outcome.nodes_visited))
+        cache.store(record)
     return 0
 
 

@@ -51,6 +51,7 @@ def cyclotomic_poly(m: int) -> IntPoly:
     return num
 
 
+@lru_cache(maxsize=None)
 def admissible_indices(degree: int) -> tuple[int, ...]:
     """All m with phi(m) <= degree.  phi(m) >= sqrt(m/2) bounds the scan."""
     if degree < 1:

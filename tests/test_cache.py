@@ -11,10 +11,14 @@ from hgsp.cache import (
     CacheRecord,
     ResultCache,
     default_cache_path,
+    outcome_record,
     record_for,
 )
+from hgsp.cli import main
+from hgsp.cyclotomic import CycloFactorization
 from hgsp.fixtures import TABLE_A
-from hgsp.pairs import PairClassification
+from hgsp.pairs import PairClassification, make_pair
+from hgsp.search import SearchConfig, search_witness
 
 
 def record(pair_id="1^6|3^2,6", kind="unknown", searched_depth=0, **kw):
@@ -240,3 +244,111 @@ def test_record_for_carries_classification(tmp_path):
     assert rec.nodes == 12345
     # round trip through JSON keeps every field
     assert CacheRecord.from_json(json.loads(json.dumps(rec.to_json()))) == rec
+
+
+def _pair(f, g):
+    return make_pair(CycloFactorization.parse(f), CycloFactorization.parse(g))
+
+
+def test_witness_record_settles_from_its_witness_not_its_stored_length(tmp_path):
+    # the stored witness_length says 1, but the witness has 9 letters
+    path = tmp_path / "c.jsonl"
+    rec = record(pair_id="1^6|3^2,6", kind="arithmetic_witness", searched_depth=1,
+                 witness="A^2BA^-1B^4A", witness_length=1)
+    path.write_text(json.dumps(rec.to_json()) + "\n")
+    cache = ResultCache(path)
+    assert cache.lookup(rec.pair_id, max_depth=3) is None
+    assert cache.lookup(rec.pair_id, max_depth=8) is None
+    assert cache.lookup(rec.pair_id, max_depth=9) == rec
+
+
+@pytest.mark.parametrize("witness", [None, "", "AA^-1", "X", "A^0", "(AB"])
+def test_witness_lines_whose_witness_is_not_a_reduced_word_are_ignored(tmp_path, witness):
+    path = tmp_path / "c.jsonl"
+    good = record(pair_id="1^6|3,8", searched_depth=6)
+    bad = record(kind="arithmetic_witness", witness=witness, witness_length=2,
+                 searched_depth=2)
+    with pytest.raises(ValueError):
+        CacheRecord.from_json(bad.to_json())
+    path.write_text(json.dumps(good.to_json()) + "\n" + json.dumps(bad.to_json()) + "\n")
+    cache = ResultCache(path)
+    assert cache.lookup(good.pair_id, max_depth=6) == good
+    assert cache.lookup(bad.pair_id, max_depth=99) is None
+
+
+# (f, g, stored fields, served): one case per clause of the served-record rule;
+# 1^6|3,6^2 has |lc| > 2, gcd(v) = 1 and the witness B^2A, while "A" fails
+# its certificate; 1^6|2^6 has gcd(v) = 4; 1^2,2^2,3|4,8 has |lc| <= 2
+SERVE_CASES = {
+    "degree-mismatch": ("1^6", "3,6^2", dict(degree=8, searched_depth=9), False),
+    "unknown-trusted": ("1^6", "3,6^2", dict(searched_depth=9), True),
+    "small-lc-large-lc": ("1^6", "3,6^2", dict(kind="arithmetic_small_lc", searched_depth=9),
+                          False),
+    "small-lc-small-lc": ("1^2,2^2,3", "4,8",
+                          dict(kind="arithmetic_small_lc", searched_depth=9), True),
+    "obstruction-gcd-match": ("1^6", "2^6", dict(kind="obstructed", gcd=4), True),
+    "obstruction-gcd-mismatch": ("1^6", "2^6", dict(kind="obstructed", gcd=8), False),
+    "witness-passes": ("1^6", "3,6^2", dict(kind="arithmetic_witness", witness="B^2A",
+                                            witness_length=3, searched_depth=3), True),
+    "witness-fails": ("1^6", "3,6^2", dict(kind="arithmetic_witness", witness="A",
+                                           witness_length=1, searched_depth=1), False),
+}
+
+
+@pytest.mark.parametrize("f, g, fields, served", SERVE_CASES.values(), ids=SERVE_CASES)
+def test_serve_applies_the_served_record_rule(tmp_path, f, g, fields, served):
+    pair = _pair(f, g)
+    rec = record(pair_id=pair.pair_id, **fields)
+    path = tmp_path / "c.jsonl"
+    line = json.dumps(rec.to_json()) + "\n"
+    path.write_text(line)
+    cache = ResultCache(path)
+    assert cache.lookup(pair.pair_id, max_depth=3) == rec
+    if served:
+        assert cache.serve(pair, max_depth=3) == rec
+        assert path.read_text() == line
+        return
+    assert cache.serve(pair, max_depth=3) is None
+    # the failed record is dropped, on disk too, so it cannot outrank a rerun
+    assert path.read_text() == line + json.dumps({"pair_id": pair.pair_id, "discard": True}) + "\n"
+    assert cache.lookup(pair.pair_id, max_depth=3) is None
+    assert ResultCache(path).lookup(pair.pair_id, max_depth=3) is None
+
+
+def test_serve_misses_a_record_that_does_not_settle(tmp_path):
+    pair = _pair("1^6", "3,6^2")
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(path)
+    cache.store(record(pair_id=pair.pair_id, searched_depth=2))
+    assert cache.serve(pair, max_depth=3) is None
+    assert cache.lookup(pair.pair_id, max_depth=2) is not None
+    assert len(path.read_text().splitlines()) == 1
+
+
+# the cache line hgsp search has written for a found, a not_found and an
+# obstructed search
+STORED_LINES = [
+    ("1^6", "3,6^2", 3, '{"pair_id": "1^6|3,6^2", "degree": 6, "searched_depth": 3, '
+     '"kind": "arithmetic_witness", "witness": "B^2A", "witness_length": 3, "gcd": null, '
+     '"nodes": 52}'),
+    ("1^6", "2^4,3", 4, '{"pair_id": "1^6|2^4,3", "degree": 6, "searched_depth": 4, '
+     '"kind": "unknown", "witness": null, "witness_length": null, "gcd": null, '
+     '"nodes": 160}'),
+    ("1^6", "2^6", 4, '{"pair_id": "1^6|2^6", "degree": 6, "searched_depth": 4, '
+     '"kind": "obstructed", "witness": null, "witness_length": null, "gcd": 4, '
+     '"nodes": 0}'),
+]
+
+
+@pytest.mark.parametrize("f, g, depth, line", STORED_LINES)
+def test_outcome_record_stores_the_line_search_has_written(tmp_path, capsys, f, g, depth, line):
+    pair = _pair(f, g)
+    outcome = search_witness(pair, SearchConfig(max_depth=depth))
+    rec = outcome_record(pair, outcome)
+    ResultCache(tmp_path / "lib.jsonl").store(rec)
+    assert (tmp_path / "lib.jsonl").read_text() == line + "\n"
+    argv = ["search", "--f", f, "--g", g, "--max-depth", str(depth),
+            "--cache", str(tmp_path / "cli.jsonl")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == rec.kind
+    assert (tmp_path / "cli.jsonl").read_text() == line + "\n"

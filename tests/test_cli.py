@@ -443,6 +443,24 @@ def test_search_cache_serves_small_lc_when_lc_is_small(tmp_path, capsys):
     assert blob["cached"] is True and blob["kind"] == "arithmetic_small_lc"
 
 
+def test_search_cache_witness_answers_only_depths_it_reaches(tmp_path, capsys):
+    # the stored witness_length of 1 understates the 9-letter witness, so
+    # the record answers a depth-9 search but not a depth-3 one
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({
+        "pair_id": "1^6|3^2,6", "degree": 6, "searched_depth": 1,
+        "kind": "arithmetic_witness", "witness": "A^2BA^-1B^4A", "witness_length": 1,
+        "gcd": None, "nodes": None,
+    }) + "\n")
+    argv = ["search", "--f", "1^6", "--g", "3^2,6", "--cache", str(cache)]
+    rc, out, _ = run(capsys, *argv, "--max-depth", "3")
+    blob = json.loads(out)
+    assert rc == 0 and "cached" not in blob and blob["status"] == "not_found"
+    rc, out, _ = run(capsys, *argv, "--max-depth", "9")
+    blob = json.loads(out)
+    assert rc == 0 and blob["cached"] is True and blob["witness"] == "A^2BA^-1B^4A"
+
+
 def test_search_refuses_a_found_word_whose_certificate_fails(tmp_path, monkeypatch, capsys):
     def failing(pair, word):
         report = verify_witness(pair, word)

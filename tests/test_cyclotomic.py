@@ -79,6 +79,10 @@ def test_admissible_indices_degree_four():
     assert admissible_indices(4) == (1, 2, 3, 4, 5, 6, 8, 10, 12)
 
 
+def test_admissible_indices_are_computed_once_per_degree():
+    assert admissible_indices(12) is admissible_indices(12)
+
+
 def test_factorization_merges_and_sorts():
     fac = CycloFactorization(((6, 1), (3, 1), (3, 1)))
     assert fac.factors == ((3, 2), (6, 1))
